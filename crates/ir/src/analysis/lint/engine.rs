@@ -18,13 +18,21 @@
 //! back-edge. Loop-carried registers whose values cycle through a small
 //! constant sequence (ping-pong buffers) keep their exact constants in
 //! each phase; everything else is havocked to fresh range-bounded atoms.
+//!
+//! State is cheap to copy, because the walk snapshots it at every branch
+//! and loop: register maps are dense [`RegMap`]s, register values are
+//! shared `Rc<Poly>`s, and interval entries are shared `Rc<Access>`es.
+//! Every traversal of a register map runs in ascending register order,
+//! so fresh atoms (and the `unk{id}` names diagnostics render) are
+//! allocated deterministically.
 
 use super::expr::{builtin_poly, rem_poly, shr_poly, Atoms, LintAssumptions, Poly, BIG};
 use super::{Diagnostic, LintKind};
 use crate::inst::{BinOp, Block, CmpOp, Inst, MemSpace, Reg, UnOp};
 use crate::kernel::Kernel;
 use crate::types::Ty;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
+use std::rc::Rc;
 
 /// How an access touches memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,7 +87,8 @@ pub struct Access {
 }
 
 /// One barrier-delimited set of accesses that may execute concurrently.
-pub type Interval = Vec<Access>;
+/// Alternatives share the accesses they have in common.
+pub type Interval = Vec<Rc<Access>>;
 
 /// Everything a walk produces.
 #[derive(Debug)]
@@ -95,13 +104,89 @@ pub struct WalkOutput {
     pub bounds: Vec<Diagnostic>,
 }
 
+/// Register-indexed map backed by a dense `Vec`. It grows on demand, so
+/// registers at or past `Kernel::next_reg` (an unvalidated kernel) stay
+/// total, and it iterates in ascending register order.
+#[derive(Debug)]
+struct RegMap<T> {
+    slots: Vec<Option<T>>,
+}
+
+// By hand so that `clone_from` reuses the allocation: the loop
+// fixpoint copies its numeric state on every pass.
+impl<T: Clone> Clone for RegMap<T> {
+    fn clone(&self) -> Self {
+        RegMap {
+            slots: self.slots.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.slots.clone_from(&src.slots);
+    }
+}
+
+impl<T> Default for RegMap<T> {
+    fn default() -> Self {
+        RegMap { slots: Vec::new() }
+    }
+}
+
+impl<T> RegMap<T> {
+    fn get(&self, r: Reg) -> Option<&T> {
+        self.slots.get(r.0 as usize).and_then(Option::as_ref)
+    }
+
+    /// Stores `v` for `r`; returns the previous value.
+    fn insert(&mut self, r: Reg, v: T) -> Option<T> {
+        let i = r.0 as usize;
+        if i >= self.slots.len() {
+            self.slots.resize_with(i + 1, || None);
+        }
+        self.slots[i].replace(v)
+    }
+
+    /// The value for `r`, storing `v` first if there is none.
+    fn get_or_insert(&mut self, r: Reg, v: T) -> &mut T {
+        let i = r.0 as usize;
+        if i >= self.slots.len() {
+            self.slots.resize_with(i + 1, || None);
+        }
+        self.slots[i].get_or_insert(v)
+    }
+
+    fn remove(&mut self, r: Reg) {
+        if let Some(slot) = self.slots.get_mut(r.0 as usize) {
+            *slot = None;
+        }
+    }
+
+    /// One past the highest register slot ever stored.
+    fn span(&self) -> usize {
+        self.slots.len()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (Reg, &T)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, v)| v.as_ref().map(|v| (Reg(i as u32), v)))
+    }
+}
+
+/// Numeric range and laneness of a register (loop pre-analysis).
+type Num = (i128, i128, bool);
+
+/// A register's numeric value when the pre-analysis knows nothing.
+const NUM_TOP: Num = (0, BIG, true);
+
 /// Cached structure of a comparison, for guard refinement.
 #[derive(Debug, Clone)]
 struct CmpDef {
     op: CmpOp,
     ty: Ty,
-    a: Poly,
-    b: Poly,
+    a: Rc<Poly>,
+    b: Rc<Poly>,
 }
 
 #[derive(Debug, Clone)]
@@ -124,8 +209,8 @@ pub(super) struct Engine<'a> {
     k: &'a Kernel,
     asm: LintAssumptions,
     atoms: Atoms,
-    env: HashMap<Reg, Poly>,
-    cmps: HashMap<Reg, CmpDef>,
+    env: RegMap<Rc<Poly>>,
+    cmps: RegMap<CmpDef>,
     /// Open interval alternatives (accesses since the last barrier).
     open: Vec<Interval>,
     intervals: Vec<Interval>,
@@ -138,7 +223,7 @@ pub(super) struct Engine<'a> {
     /// last defined, so the swizzle check can tell values produced inside
     /// a divergent region from values both pair lanes already hold.
     clock: usize,
-    def_clock: HashMap<Reg, usize>,
+    def_clock: RegMap<usize>,
     /// Opaque atoms proven *pair-uniform*: produced only from values that
     /// work-items `2k`/`2k+1` share (e.g. a load from a `lid0 >> 1`
     /// address). RMT-transformed kernels branch on such values, and both
@@ -152,8 +237,8 @@ impl<'a> Engine<'a> {
             k,
             asm,
             atoms: Atoms::new(),
-            env: HashMap::new(),
-            cmps: HashMap::new(),
+            env: RegMap::default(),
+            cmps: RegMap::default(),
             open: vec![Vec::new()],
             intervals: Vec::new(),
             guards: Vec::new(),
@@ -162,14 +247,14 @@ impl<'a> Engine<'a> {
             bounds: Vec::new(),
             seq: 0,
             clock: 0,
-            def_clock: HashMap::new(),
+            def_clock: RegMap::default(),
             pair_atoms: HashSet::new(),
         }
     }
 
     pub(super) fn run(mut self) -> WalkOutput {
-        let body = self.k.body.clone();
-        self.walk_block(&body);
+        let k = self.k;
+        self.walk_block(&k.body);
         // Close the trailing interval.
         let open = std::mem::take(&mut self.open);
         self.intervals
@@ -182,17 +267,21 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn poly(&mut self, r: Reg) -> Poly {
-        match self.env.get(&r) {
+    fn poly(&mut self, r: Reg) -> Rc<Poly> {
+        match self.env.get(r) {
             Some(p) => p.clone(),
             None => {
                 // Use-before-def is `validate`'s job; stay total here.
                 let a = self.atoms.fresh_opaque(true, 0, BIG);
-                let p = Poly::atom(a);
+                let p = Rc::new(Poly::atom(a));
                 self.env.insert(r, p.clone());
                 p
             }
         }
+    }
+
+    fn set(&mut self, r: Reg, p: Poly) {
+        self.env.insert(r, Rc::new(p));
     }
 
     fn fresh(&mut self, lane: bool, lo: i128, hi: i128) -> Poly {
@@ -302,7 +391,7 @@ impl<'a> Engine<'a> {
                 rel: Rel::LeZero,
             });
         }
-        let acc = Access {
+        let acc = Rc::new(Access {
             space,
             kind,
             addr,
@@ -310,7 +399,7 @@ impl<'a> Engine<'a> {
             opaque_guard: self.under_opaque_guard(),
             seq,
             desc,
-        };
+        });
         for alt in &mut self.open {
             alt.push(acc.clone());
         }
@@ -349,7 +438,7 @@ impl<'a> Engine<'a> {
         }
         match inst {
             Inst::Const { dst, bits, .. } => {
-                self.env.insert(*dst, Poly::constant(*bits as i64));
+                self.set(*dst, Poly::constant(*bits as i64));
             }
             Inst::Mov { dst, src } => {
                 let p = self.poly(*src);
@@ -357,12 +446,12 @@ impl<'a> Engine<'a> {
             }
             Inst::ReadBuiltin { dst, builtin } => {
                 let p = builtin_poly(&mut self.atoms, *builtin, &self.asm);
-                self.env.insert(*dst, p);
+                self.set(*dst, p);
             }
             Inst::ReadParam { dst, index } => {
                 use super::expr::AtomKind;
                 let a = self.atoms.intern(AtomKind::Param(*index), false, 0, BIG);
-                self.env.insert(*dst, Poly::atom(a));
+                self.set(*dst, Poly::atom(a));
             }
             Inst::Unary { dst, op, a } => {
                 let pu = {
@@ -373,7 +462,7 @@ impl<'a> Engine<'a> {
                 if pu {
                     self.mark_pair(&p);
                 }
-                self.env.insert(*dst, p);
+                self.set(*dst, p);
             }
             Inst::Binary { dst, op, ty, a, b } => {
                 let pu = {
@@ -385,7 +474,7 @@ impl<'a> Engine<'a> {
                 if pu {
                     self.mark_pair(&p);
                 }
-                self.env.insert(*dst, p);
+                self.set(*dst, p);
             }
             Inst::Cmp { dst, op, ty, a, b } => {
                 let pa = self.poly(*a);
@@ -405,7 +494,7 @@ impl<'a> Engine<'a> {
                 if pu {
                     self.mark_pair(&p);
                 }
-                self.env.insert(*dst, p);
+                self.set(*dst, p);
             }
             Inst::Select {
                 dst,
@@ -433,12 +522,12 @@ impl<'a> Engine<'a> {
                             self.mark_pair(&p);
                         }
                     }
-                    self.env.insert(*dst, p);
+                    self.set(*dst, p);
                 }
             }
             Inst::Load { dst, space, addr } => {
                 let pa = self.poly(*addr);
-                self.record_access(*space, AccessKind::Read, pa.clone(), "load");
+                self.record_access(*space, AccessKind::Read, (*pa).clone(), "load");
                 // A global load from a lane-free address is treated as
                 // group-uniform (the standard scalarization assumption);
                 // LDS has no scalar port, so local loads stay per-lane.
@@ -449,21 +538,21 @@ impl<'a> Engine<'a> {
                     // observe the same value (within one barrier interval).
                     self.mark_pair(&p);
                 }
-                self.env.insert(*dst, p);
+                self.set(*dst, p);
             }
             Inst::Store { space, addr, value } => {
                 let _ = self.poly(*value);
                 let pa = self.poly(*addr);
-                self.record_access(*space, AccessKind::Write, pa, "store");
+                self.record_access(*space, AccessKind::Write, (*pa).clone(), "store");
             }
             Inst::Atomic {
                 dst, space, addr, ..
             } => {
                 let pa = self.poly(*addr);
-                self.record_access(*space, AccessKind::Atomic, pa, "atomic");
+                self.record_access(*space, AccessKind::Atomic, (*pa).clone(), "atomic");
                 if let Some(d) = dst {
                     let p = self.fresh(true, 0, BIG);
-                    self.env.insert(*d, p);
+                    self.set(*d, p);
                 }
             }
             Inst::Barrier => {
@@ -490,7 +579,7 @@ impl<'a> Engine<'a> {
                 // defined inside a guard that can split the pair may never
                 // have been computed by the source lane. Values both lanes
                 // defined before the guard are safe to exchange under it.
-                let src_def = self.def_clock.get(src).copied().unwrap_or(0);
+                let src_def = self.def_clock.get(*src).copied().unwrap_or(0);
                 if let Some(g) = self
                     .guards
                     .iter()
@@ -514,7 +603,7 @@ impl<'a> Engine<'a> {
                     // Exchanging a pair-shared value yields the same value.
                     self.mark_pair(&p);
                 }
-                self.env.insert(*dst, p);
+                self.set(*dst, p);
             }
             Inst::If {
                 cond,
@@ -537,7 +626,7 @@ impl<'a> Engine<'a> {
             UnOp::Neg => pa.neg(),
             UnOp::Abs => {
                 if lo >= 0 {
-                    pa
+                    (*pa).clone()
                 } else {
                     self.fresh(lane, 0, hi.saturating_abs().max(lo.saturating_abs()))
                 }
@@ -640,7 +729,7 @@ impl<'a> Engine<'a> {
 
     /// Builds the guard fact for `cond` being true (or false).
     fn guard_constraint(&mut self, cond: Reg, taken: bool) -> Option<Constraint> {
-        let def = self.cmps.get(&cond).cloned();
+        let def = self.cmps.get(cond).cloned();
         if let Some(CmpDef { op, ty, a, b }) = def {
             if ty == Ty::F32 {
                 return None;
@@ -660,7 +749,7 @@ impl<'a> Engine<'a> {
         // Non-comparison condition: constrain its value directly.
         let p = self.poly(cond);
         Some(Constraint {
-            poly: p,
+            poly: (*p).clone(),
             rel: if taken { Rel::NeZero } else { Rel::EqZero },
         })
     }
@@ -685,7 +774,7 @@ impl<'a> Engine<'a> {
 
     /// Rendered condition operands, for diagnostics.
     fn guard_desc(&mut self, cond: Reg) -> String {
-        match self.cmps.get(&cond) {
+        match self.cmps.get(cond) {
             Some(c) => format!("{} vs {}", c.a.render(&self.atoms), c.b.render(&self.atoms)),
             None => self.poly(cond).render(&self.atoms),
         }
@@ -702,7 +791,7 @@ impl<'a> Engine<'a> {
     /// (divergent, pair_uniform, opaque) for a condition register.
     fn guard_shape(&mut self, cond: Reg) -> (bool, bool, bool) {
         use super::expr::AtomKind;
-        let polys: Vec<Poly> = match self.cmps.get(&cond) {
+        let polys: Vec<Rc<Poly>> = match self.cmps.get(cond) {
             Some(c) => vec![c.a.clone(), c.b.clone()],
             None => vec![self.poly(cond)],
         };
@@ -752,21 +841,14 @@ impl<'a> Engine<'a> {
                 .into_iter()
                 .zip(open_e)
                 .map(|(mut t, e)| {
-                    let known: HashSet<usize> = t.iter().map(|a| a.seq).collect();
-                    t.extend(e.into_iter().filter(|a| !known.contains(&a.seq)));
+                    union_into(&mut t, e);
                     t
                 })
                 .collect()
         } else {
             let mut alts = open_t;
             alts.extend(open_e);
-            while alts.len() > MAX_ALTS {
-                let extra = alts.pop().unwrap();
-                let last = alts.last_mut().unwrap();
-                let known: HashSet<usize> = last.iter().map(|a| a.seq).collect();
-                last.extend(extra.into_iter().filter(|a| !known.contains(&a.seq)));
-            }
-            alts
+            cap_alts(alts)
         };
 
         // Merge environments: registers that agree keep their value,
@@ -774,43 +856,47 @@ impl<'a> Engine<'a> {
         self.env = self.merge_envs(&pre_env, env_t, env_e, pair_u);
     }
 
+    /// Joins the two branch environments in ascending register order, so
+    /// the fresh atoms it allocates are numbered deterministically.
     fn merge_envs(
         &mut self,
-        pre: &HashMap<Reg, Poly>,
-        t: HashMap<Reg, Poly>,
-        e: HashMap<Reg, Poly>,
+        pre: &RegMap<Rc<Poly>>,
+        t: RegMap<Rc<Poly>>,
+        e: RegMap<Rc<Poly>>,
         pair_u: bool,
-    ) -> HashMap<Reg, Poly> {
-        let mut out = HashMap::new();
-        let regs: HashSet<Reg> = t.keys().chain(e.keys()).copied().collect();
-        for r in regs {
-            let vt = t.get(&r).or_else(|| pre.get(&r));
-            let ve = e.get(&r).or_else(|| pre.get(&r));
+    ) -> RegMap<Rc<Poly>> {
+        let mut out = RegMap::default();
+        for i in 0..t.span().max(e.span()) {
+            let r = Reg(i as u32);
+            let (vt, ve) = (t.get(r), e.get(r));
+            if vt.is_none() && ve.is_none() {
+                continue;
+            }
+            let vt = vt.or_else(|| pre.get(r));
+            let ve = ve.or_else(|| pre.get(r));
             match (vt, ve) {
-                (Some(a), Some(b)) if a == b => {
+                (Some(a), Some(b)) if Rc::ptr_eq(a, b) || a == b => {
                     out.insert(r, a.clone());
                 }
                 (Some(a), Some(b)) => {
-                    let (a, b) = (a.clone(), b.clone());
-                    let (alo, ahi) = self.range(&a);
-                    let (blo, bhi) = self.range(&b);
+                    let (alo, ahi) = self.range(a);
+                    let (blo, bhi) = self.range(b);
                     let lane = true; // value now depends on the branch taken
                     let p = self.fresh(lane, alo.min(blo), ahi.max(bhi));
-                    if pair_u && self.pair_uniform(&a) && self.pair_uniform(&b) {
+                    if pair_u && self.pair_uniform(a) && self.pair_uniform(b) {
                         // Both lanes of a pair took the same side and both
                         // sides' values are pair-shared.
                         self.mark_pair(&p);
                     }
-                    out.insert(r, p);
+                    out.insert(r, Rc::new(p));
                 }
                 (Some(a), None) | (None, Some(a)) => {
-                    let a = a.clone();
-                    let (lo, hi) = self.range(&a);
+                    let (lo, hi) = self.range(a);
                     let p = self.fresh(true, lo.min(0), hi);
-                    if pair_u && self.pair_uniform(&a) {
+                    if pair_u && self.pair_uniform(a) {
                         self.mark_pair(&p);
                     }
-                    out.insert(r, p);
+                    out.insert(r, Rc::new(p));
                 }
                 (None, None) => {}
             }
@@ -849,17 +935,14 @@ impl<'a> Engine<'a> {
 
         // Registers written anywhere in the loop.
         let mut carried: Vec<Reg> = Vec::new();
-        let mut seen = HashSet::new();
-        collect_defs(cond, &mut |r| {
-            if seen.insert(r) {
+        let mut seen = RegMap::default();
+        let mut note = |r| {
+            if seen.insert(r, ()).is_none() {
                 carried.push(r);
             }
-        });
-        collect_defs(body, &mut |r| {
-            if seen.insert(r) {
-                carried.push(r);
-            }
-        });
+        };
+        collect_defs(cond, &mut note);
+        collect_defs(body, &mut note);
 
         // Numeric pre-analysis: iterate the loop on interval ranges to a
         // fixpoint (with widening), giving each carried register a hull.
@@ -868,20 +951,22 @@ impl<'a> Engine<'a> {
         // Constant-cycle detection: a carried register whose value cycles
         // through constants with period ≤ 2 (ping-pong buffer offsets)
         // keeps its exact constants per phase.
-        let c0: HashMap<Reg, i64> = self
-            .env
-            .iter()
-            .filter_map(|(r, p)| p.as_const().map(|k| (*r, k)))
-            .collect();
+        let mut c0 = RegMap::default();
+        for (r, p) in self.env.iter() {
+            if let Some(k) = p.as_const() {
+                c0.insert(r, k);
+            }
+        }
         let c1 = const_prop(cond, body, &c0);
         let c2 = const_prop(cond, body, &c1);
-        let cyclic: HashMap<Reg, (i64, i64)> = carried
-            .iter()
-            .filter_map(|r| match (c0.get(r), c1.get(r), c2.get(r)) {
-                (Some(&a), Some(&b), Some(&a2)) if a == a2 => Some((*r, (a, b))),
-                _ => None,
-            })
-            .collect();
+        let mut cyclic: RegMap<(i64, i64)> = RegMap::default();
+        for &r in &carried {
+            if let (Some(&a), Some(&b), Some(&a2)) = (c0.get(r), c1.get(r), c2.get(r)) {
+                if a == a2 {
+                    cyclic.insert(r, (a, b));
+                }
+            }
+        }
 
         let had_barrier = block_has_barrier(cond) || block_has_barrier(body);
         let snapshot = if had_barrier {
@@ -902,15 +987,15 @@ impl<'a> Engine<'a> {
 
         // Two phases: pairs tail-of-iteration-k against head-of-k+1.
         for phase in 0..2u8 {
-            for r in &carried {
+            for &r in &carried {
                 let p = match cyclic.get(r) {
                     Some(&(a, b)) => Poly::constant(if phase == 0 { a } else { b }),
                     None => {
-                        let (lo, hi, lane) = hulls.get(r).copied().unwrap_or((0, BIG, true));
+                        let (lo, hi, lane) = hulls.get(r).copied().unwrap_or(NUM_TOP);
                         self.fresh(lane, lo, hi)
                     }
                 };
-                self.env.insert(*r, p);
+                self.set(r, p);
             }
             self.walk_block(cond);
             let desc = self.guard_desc(cond_reg);
@@ -935,55 +1020,33 @@ impl<'a> Engine<'a> {
 
         // Post-loop state: carried registers are unknown within their hull
         // (except period-1 constants, which are genuinely stable).
-        for r in &carried {
+        for &r in &carried {
             let p = match cyclic.get(r) {
                 Some(&(a, b)) if a == b => Poly::constant(a),
                 _ => {
-                    let (lo, hi, lane) = hulls.get(r).copied().unwrap_or((0, BIG, true));
+                    let (lo, hi, lane) = hulls.get(r).copied().unwrap_or(NUM_TOP);
                     self.fresh(lane, lo, hi)
                 }
             };
-            self.env.insert(*r, p);
+            self.set(r, p);
         }
 
         // The zero-iteration path is an alternative schedule.
         if let Some(before) = snapshot {
             let mut alts = before;
             alts.extend(std::mem::take(&mut self.open));
-            while alts.len() > MAX_ALTS {
-                let extra = alts.pop().unwrap();
-                let last = alts.last_mut().unwrap();
-                let known: HashSet<usize> = last.iter().map(|a| a.seq).collect();
-                last.extend(extra.into_iter().filter(|a| !known.contains(&a.seq)));
-            }
-            self.open = alts;
+            self.open = cap_alts(alts);
         }
     }
 
     /// Evaluates the loop condition on a scratch copy; `Some(taken)` when
     /// it folds to a constant under the current environment.
     fn peek_cond_const(&mut self, cond: &Block, cond_reg: Reg) -> Option<bool> {
-        let env_save = self.env.clone();
-        let cmps_save = self.cmps.clone();
-        let open_save = std::mem::replace(&mut self.open, vec![Vec::new()]);
-        let ivl_save = self.intervals.len();
-        let div_save = self.divergence.len();
-        let bnd_save = self.bounds.len();
-        let seq_save = self.seq;
-        self.walk_block(cond);
-        let v = self.cond_const_value(cond_reg);
-        self.env = env_save;
-        self.cmps = cmps_save;
-        self.open = open_save;
-        self.intervals.truncate(ivl_save);
-        self.divergence.truncate(div_save);
-        self.bounds.truncate(bnd_save);
-        self.seq = seq_save;
-        v
+        self.on_scratch_copy(cond, |e| e.cond_const_value(cond_reg))
     }
 
     fn cond_const_value(&mut self, cond_reg: Reg) -> Option<bool> {
-        if let Some(c) = self.cmps.get(&cond_reg).cloned() {
+        if let Some(c) = self.cmps.get(cond_reg).cloned() {
             let a = c.a.as_const()?;
             let b = c.b.as_const()?;
             let (a, b) = if c.ty == Ty::U32 {
@@ -1004,9 +1067,15 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// Learns the shape of `cond_reg` without recording accesses twice.
     fn guard_shape_for_loop(&mut self, cond: &Block, cond_reg: Reg) -> (bool, bool, bool) {
-        // Evaluate the condition block on a scratch copy to learn the
-        // shape of `cond_reg` without recording accesses twice.
+        self.on_scratch_copy(cond, |e| e.guard_shape(cond_reg))
+    }
+
+    /// Walks `cond`, evaluates `f`, then rolls the environment, the
+    /// comparisons, the interval state, the diagnostics and the access
+    /// sequence back to where they were.
+    fn on_scratch_copy<R>(&mut self, cond: &Block, f: impl FnOnce(&mut Self) -> R) -> R {
         let env_save = self.env.clone();
         let cmps_save = self.cmps.clone();
         let open_save = std::mem::replace(&mut self.open, vec![Vec::new()]);
@@ -1015,7 +1084,7 @@ impl<'a> Engine<'a> {
         let bnd_save = self.bounds.len();
         let seq_save = self.seq;
         self.walk_block(cond);
-        let shape = self.guard_shape(cond_reg);
+        let v = f(self);
         self.env = env_save;
         self.cmps = cmps_save;
         self.open = open_save;
@@ -1023,7 +1092,7 @@ impl<'a> Engine<'a> {
         self.divergence.truncate(div_save);
         self.bounds.truncate(bnd_save);
         self.seq = seq_save;
-        shape
+        v
     }
 
     /// Interval fixpoint over the loop: returns per-register numeric hulls
@@ -1034,51 +1103,71 @@ impl<'a> Engine<'a> {
         cond_reg: Reg,
         body: &Block,
         carried: &[Reg],
-    ) -> HashMap<Reg, (i128, i128, bool)> {
-        let mut num: HashMap<Reg, (i128, i128, bool)> = HashMap::new();
-        for (r, p) in &self.env {
+    ) -> RegMap<Num> {
+        let mut num = RegMap::default();
+        for (r, p) in self.env.iter() {
             let (lo, hi) = p.eval_range(&self.atoms);
-            num.insert(*r, (lo, hi, p.has_lane(&self.atoms)));
+            num.insert(r, (lo, hi, p.has_lane(&self.atoms)));
         }
-        let mut hull: HashMap<Reg, (i128, i128, bool)> = HashMap::new();
-        for r in carried {
-            if let Some(v) = num.get(r) {
-                hull.insert(*r, *v);
+        let mut hull = RegMap::default();
+        for &r in carried {
+            if let Some(&v) = num.get(r) {
+                hull.insert(r, v);
             }
         }
-        let mut cmp_defs: HashMap<Reg, (CmpOp, Reg, Reg)> = HashMap::new();
+        let mut cmp_defs = RegMap::default();
+        let mut env = RegMap::default();
         for pass in 0..257 {
-            let mut env = num.clone();
+            env.clone_from(&num);
             walk_num(cond, &mut env, &mut cmp_defs);
             // Refine with the loop condition being true.
-            if let Some(&(op, a, b)) = cmp_defs.get(&cond_reg) {
+            if let Some(&(op, a, b)) = cmp_defs.get(cond_reg) {
                 refine_num(&mut env, op, a, b);
             }
             walk_num(body, &mut env, &mut cmp_defs);
             let mut changed = false;
-            for r in carried {
-                let cur = env.get(r).copied().unwrap_or((0, BIG, true));
-                let h = hull.entry(*r).or_insert(cur);
-                let joined = (h.0.min(cur.0), h.1.max(cur.1), h.2 || cur.2);
+            for &r in carried {
+                let cur = env.get(r).copied().unwrap_or(NUM_TOP);
+                let h = hull.get_or_insert(r, cur);
+                let joined = join_num(*h, cur);
                 if joined != *h {
                     *h = joined;
                     changed = true;
                 }
-                num.insert(*r, *h);
+                let h = *h;
+                num.insert(r, h);
             }
             if !changed {
                 break;
             }
             if pass == 256 {
                 // Widen whatever is still moving.
-                for r in carried {
-                    let h = hull.entry(*r).or_insert((0, BIG, true));
-                    h.1 = BIG;
+                for &r in carried {
+                    hull.get_or_insert(r, NUM_TOP).1 = BIG;
                 }
             }
         }
         hull
     }
+}
+
+/// Appends the accesses of `extra` that `into` does not already hold.
+fn union_into(into: &mut Interval, extra: Interval) {
+    let known: HashSet<usize> = into.iter().map(|a| a.seq).collect();
+    into.extend(extra.into_iter().filter(|a| !known.contains(&a.seq)));
+}
+
+/// Folds interval alternatives beyond [`MAX_ALTS`] into the last one kept.
+fn cap_alts(mut alts: Vec<Interval>) -> Vec<Interval> {
+    while alts.len() > MAX_ALTS {
+        let extra = alts.pop().unwrap();
+        union_into(alts.last_mut().unwrap(), extra);
+    }
+    alts
+}
+
+fn join_num(a: Num, b: Num) -> Num {
+    (a.0.min(b.0), a.1.max(b.1), a.2 || b.2)
 }
 
 fn in_bounds_positive(_blo: i128, bhi: i128) -> bool {
@@ -1127,29 +1216,27 @@ fn block_has_barrier(b: &Block) -> bool {
 /// Straight-line constant propagation through one loop iteration
 /// (cond then body). Anything assigned under control flow, from memory,
 /// or from non-constant arithmetic becomes unknown.
-fn const_prop(cond: &Block, body: &Block, init: &HashMap<Reg, i64>) -> HashMap<Reg, i64> {
+fn const_prop(cond: &Block, body: &Block, init: &RegMap<i64>) -> RegMap<i64> {
     let mut env = init.clone();
     const_prop_block(cond, &mut env);
     const_prop_block(body, &mut env);
     env
 }
 
-fn const_prop_block(b: &Block, env: &mut HashMap<Reg, i64>) {
+fn const_prop_block(b: &Block, env: &mut RegMap<i64>) {
     for inst in b.iter() {
         match inst {
             Inst::Const { dst, bits, .. } => {
                 env.insert(*dst, *bits as i64);
             }
-            Inst::Mov { dst, src } => match env.get(src).copied() {
+            Inst::Mov { dst, src } => match env.get(*src).copied() {
                 Some(v) => {
                     env.insert(*dst, v);
                 }
-                None => {
-                    env.remove(dst);
-                }
+                None => env.remove(*dst),
             },
             Inst::Binary { dst, op, ty, a, b } if *ty != Ty::F32 => {
-                let v = match (env.get(a), env.get(b)) {
+                let v = match (env.get(*a), env.get(*b)) {
                     (Some(&x), Some(&y)) => eval_const_binop(*op, x, y),
                     _ => None,
                 };
@@ -1157,33 +1244,23 @@ fn const_prop_block(b: &Block, env: &mut HashMap<Reg, i64>) {
                     Some(v) => {
                         env.insert(*dst, v);
                     }
-                    None => {
-                        env.remove(dst);
-                    }
+                    None => env.remove(*dst),
                 }
             }
             Inst::If {
                 then_blk, else_blk, ..
             } => {
                 // Branch-dependent values are not loop-phase constants.
-                collect_defs(then_blk, &mut |r| {
-                    env.remove(&r);
-                });
-                collect_defs(else_blk, &mut |r| {
-                    env.remove(&r);
-                });
+                collect_defs(then_blk, &mut |r| env.remove(r));
+                collect_defs(else_blk, &mut |r| env.remove(r));
             }
             Inst::While { cond, body, .. } => {
-                collect_defs(cond, &mut |r| {
-                    env.remove(&r);
-                });
-                collect_defs(body, &mut |r| {
-                    env.remove(&r);
-                });
+                collect_defs(cond, &mut |r| env.remove(r));
+                collect_defs(body, &mut |r| env.remove(r));
             }
             other => {
                 if let Some(d) = other.dst() {
-                    env.remove(&d);
+                    env.remove(d);
                 }
             }
         }
@@ -1220,14 +1297,8 @@ fn eval_const_binop(op: BinOp, x: i64, y: i64) -> Option<i64> {
 }
 
 /// Numeric interval transfer for one block (used by the loop pre-analysis).
-fn walk_num(
-    b: &Block,
-    env: &mut HashMap<Reg, (i128, i128, bool)>,
-    cmps: &mut HashMap<Reg, (CmpOp, Reg, Reg)>,
-) {
-    let get = |env: &HashMap<Reg, (i128, i128, bool)>, r: &Reg| {
-        env.get(r).copied().unwrap_or((0, BIG, true))
-    };
+fn walk_num(b: &Block, env: &mut RegMap<Num>, cmps: &mut RegMap<(CmpOp, Reg, Reg)>) {
+    let get = |env: &RegMap<Num>, r: &Reg| env.get(*r).copied().unwrap_or(NUM_TOP);
     for inst in b.iter() {
         match inst {
             Inst::Const { dst, bits, .. } => {
@@ -1238,7 +1309,7 @@ fn walk_num(
                 env.insert(*dst, v);
             }
             Inst::ReadBuiltin { dst, .. } => {
-                env.insert(*dst, (0, BIG, true));
+                env.insert(*dst, NUM_TOP);
             }
             Inst::ReadParam { dst, .. } => {
                 env.insert(*dst, (0, BIG, false));
@@ -1284,7 +1355,7 @@ fn walk_num(
                 env.insert(*dst, (0, BIG, lane));
             }
             Inst::Atomic { dst: Some(d), .. } => {
-                env.insert(*d, (0, BIG, true));
+                env.insert(*d, NUM_TOP);
             }
             Inst::Swizzle { dst, src, .. } => {
                 let (lo, hi, _) = get(env, src);
@@ -1294,14 +1365,15 @@ fn walk_num(
                 then_blk, else_blk, ..
             } => {
                 let mut et = env.clone();
-                let mut ee = env.clone();
                 walk_num(then_blk, &mut et, cmps);
-                walk_num(else_blk, &mut ee, cmps);
-                let regs: HashSet<Reg> = et.keys().chain(ee.keys()).copied().collect();
-                for r in regs {
-                    let t = get(&et, &r);
-                    let e = get(&ee, &r);
-                    env.insert(r, (t.0.min(e.0), t.1.max(e.1), t.2 || e.2));
+                walk_num(else_blk, env, cmps);
+                for i in 0..et.span().max(env.span()) {
+                    let r = Reg(i as u32);
+                    if et.get(r).is_none() && env.get(r).is_none() {
+                        continue;
+                    }
+                    let joined = join_num(get(&et, &r), get(env, &r));
+                    env.insert(r, joined);
                 }
             }
             Inst::While {
@@ -1313,14 +1385,15 @@ fn walk_num(
                 for _ in 0..64 {
                     let before = env.clone();
                     walk_num(cond, env, cmps);
-                    if let Some(&(op, a, b)) = cmps.get(cond_reg) {
+                    if let Some(&(op, a, b)) = cmps.get(*cond_reg) {
                         refine_num(env, op, a, b);
                     }
                     walk_num(body, env, cmps);
                     let mut changed = false;
-                    for (r, v) in env.iter_mut() {
-                        if let Some(p) = before.get(r) {
-                            let j = (p.0.min(v.0), p.1.max(v.1), p.2 || v.2);
+                    // `env` only grows, so `before` covers a prefix of it.
+                    for (v, p) in env.slots.iter_mut().zip(&before.slots) {
+                        if let (Some(v), Some(p)) = (v, p) {
+                            let j = join_num(*p, *v);
                             if j != *v {
                                 *v = j;
                                 changed = true;
@@ -1334,14 +1407,14 @@ fn walk_num(
             }
             other => {
                 if let Some(d) = other.dst() {
-                    env.insert(d, (0, BIG, true));
+                    env.insert(d, NUM_TOP);
                 }
             }
         }
     }
 }
 
-fn num_binop(op: BinOp, a: (i128, i128), b: (i128, i128), lane: bool) -> (i128, i128, bool) {
+fn num_binop(op: BinOp, a: (i128, i128), b: (i128, i128), lane: bool) -> Num {
     let (alo, ahi) = a;
     let (blo, bhi) = b;
     match op {
@@ -1375,9 +1448,9 @@ fn num_binop(op: BinOp, a: (i128, i128), b: (i128, i128), lane: bool) -> (i128, 
 }
 
 /// Narrows `a` and `b`'s ranges assuming `a OP b` is true.
-fn refine_num(env: &mut HashMap<Reg, (i128, i128, bool)>, op: CmpOp, a: Reg, b: Reg) {
-    let ra = env.get(&a).copied();
-    let rb = env.get(&b).copied();
+fn refine_num(env: &mut RegMap<Num>, op: CmpOp, a: Reg, b: Reg) {
+    let ra = env.get(a).copied();
+    let rb = env.get(b).copied();
     if let (Some((alo, ahi, la)), Some((blo, bhi, lb))) = (ra, rb) {
         let (na, nb) = match op {
             CmpOp::Lt => ((alo, ahi.min(bhi - 1)), (blo.max(alo + 1), bhi)),

@@ -109,6 +109,11 @@ impl Atoms {
         id
     }
 
+    /// The interned atom of a (non-opaque) kind, if one exists.
+    pub fn lookup(&self, kind: &AtomKind) -> Option<AtomId> {
+        self.by_kind.get(kind).copied()
+    }
+
     /// Creates a fresh opaque atom.
     pub fn fresh_opaque(&mut self, lane: bool, lo: i128, hi: i128) -> AtomId {
         let kind = AtomKind::Opaque {

@@ -31,24 +31,31 @@
 //! overlaps are flagged) because butterfly-style bit manipulation is
 //! routinely unprovable, and cross-group global traffic is out of scope
 //! (the inter-group RMT comm protocol synchronizes it by construction).
+//!
+//! Work per pair is kept small: each access's guard facts, numeric range,
+//! symbolic bounds and lane/uniform split are prepared once per run, the
+//! `local_id` atoms and the quotient/remainder atoms over them are indexed
+//! once per run, and an ordered access pair that several interval
+//! alternatives share is checked only the first time (its diagnostic
+//! would repeat verbatim and be deduplicated).
 
 use super::engine::{Access, AccessKind, Constraint, Interval, Rel};
 use super::expr::{AtomId, AtomKind, Atoms, LintAssumptions, Monomial, Poly, BIG};
 use super::{Diagnostic, LintKind};
 use crate::inst::MemSpace;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashSet};
 
 /// Facts derived from one access's guard constraints.
 #[derive(Debug, Default)]
 struct Facts {
     /// Atom pinned to an exact value.
-    pins: HashMap<AtomId, i128>,
+    pins: BTreeMap<AtomId, i128>,
     /// Symbolic upper bound: atom ≤ poly (uniform).
-    sym_hi: HashMap<AtomId, Poly>,
+    sym_hi: BTreeMap<AtomId, Poly>,
     /// Symbolic lower bound: atom ≥ poly (uniform).
-    sym_lo: HashMap<AtomId, Poly>,
+    sym_lo: BTreeMap<AtomId, Poly>,
     /// Numeric refinements (intersected with the atom's own range).
-    num: HashMap<AtomId, (i128, i128)>,
+    num: BTreeMap<AtomId, (i128, i128)>,
     /// The constraint set is unsatisfiable: the access cannot execute
     /// (e.g. it sits on a pruned zero-iteration loop alternative).
     infeasible: bool,
@@ -240,7 +247,7 @@ fn eval_with_pin(p: &Poly, atoms: &Atoms, f: &Facts, a: AtomId, v: i128) -> (i12
     (lo, hi)
 }
 
-fn refine(num: &mut HashMap<AtomId, (i128, i128)>, a: AtomId, lo: i128, hi: i128) {
+fn refine(num: &mut BTreeMap<AtomId, (i128, i128)>, a: AtomId, lo: i128, hi: i128) {
     let e = num.entry(a).or_insert((-BIG, BIG));
     e.0 = e.0.max(lo);
     e.1 = e.1.min(hi);
@@ -369,17 +376,15 @@ fn atom_bounds(a: AtomId, atoms: &Atoms, f: &Facts) -> Option<(Poly, Poly)> {
 /// cancel). Unmatched or compound monomials fall back to independent
 /// numeric ranges. `None` when a needed bound is unavailable.
 fn sym_diff_range(
-    a1: &Access,
-    a2: &Access,
+    p1: &Prepared,
+    p2: &Prepared,
     atoms: &Atoms,
-    f1: &Facts,
-    f2: &Facts,
     fu: &Facts,
-    split: &HashMap<AtomId, i128>,
+    split: &BTreeMap<AtomId, i128>,
 ) -> Option<(i128, i128)> {
-    let (lane1, unif1) = a1.addr.split_lane(atoms);
-    let (lane2, unif2) = a2.addr.split_lane(atoms);
-    let base = unif1.sub(&unif2);
+    let (lane1, lane2) = (&p1.lane, &p2.lane);
+    let (f1, f2) = (&p1.facts, &p2.facts);
+    let base = p1.unif.sub(&p2.unif);
     let mut lo = base.clone();
     let mut hi = base;
     let mut extra_lo = 0i128;
@@ -473,9 +478,76 @@ fn split_mono(m: &Monomial, atoms: &Atoms) -> (Monomial, Monomial) {
     (lane, unif)
 }
 
-fn check_pair(a1: &Access, a2: &Access, atoms: &Atoms, asm: &LintAssumptions) -> Verdict {
-    let f1 = derive_facts(&a1.constraints, atoms);
-    let f2 = derive_facts(&a2.constraints, atoms);
+/// What the prover needs of one access, computed once per run.
+struct Prepared {
+    /// Facts derived from the access's guard constraints.
+    facts: Facts,
+    /// Constraint-refined numeric address range.
+    range: (i128, i128),
+    /// Symbolic address bounds over uniform atoms, if every lane
+    /// monomial is bounded.
+    sym: Option<(Poly, Poly)>,
+    /// Lane-dependent part of the address.
+    lane: Poly,
+    /// Uniform part of the address (constant included).
+    unif: Poly,
+}
+
+impl Prepared {
+    fn new(a: &Access, atoms: &Atoms) -> Self {
+        let facts = derive_facts(&a.constraints, atoms);
+        let range = eval_with(&a.addr, atoms, &facts);
+        let sym = sym_bounds(&a.addr, atoms, &facts);
+        let (lane, unif) = a.addr.split_lane(atoms);
+        Prepared {
+            facts,
+            range,
+            sym,
+            lane,
+            unif,
+        }
+    }
+}
+
+/// A `local_id.d` atom and the atoms the identity closure reconstructs
+/// its δ from: every quotient/remainder atom whose argument's lane part
+/// is exactly that `local_id`, in atom order.
+struct LidAtoms {
+    lid: AtomId,
+    parts: Vec<AtomId>,
+}
+
+/// Indexes the `local_id` atoms of the three dimensions (`None` for a
+/// degenerate or unread dimension).
+fn index_lids(atoms: &Atoms) -> [Option<LidAtoms>; 3] {
+    let mut lids: [Option<LidAtoms>; 3] = std::array::from_fn(|d| {
+        let lid = atoms.lookup(&AtomKind::LocalId(d as u8))?;
+        Some(LidAtoms {
+            lid,
+            parts: Vec::new(),
+        })
+    });
+    for a in (0..atoms.len() as u32).map(AtomId) {
+        if let AtomKind::Quot { arg, .. } | AtomKind::Rem { arg, .. } = &atoms.info(a).kind {
+            let lane_atom = lane_part_atom(arg, atoms);
+            for l in lids.iter_mut().flatten() {
+                if lane_atom == Some(l.lid) {
+                    l.parts.push(a);
+                }
+            }
+        }
+    }
+    lids
+}
+
+fn check_pair(
+    (a1, p1): (&Access, &Prepared),
+    (a2, p2): (&Access, &Prepared),
+    atoms: &Atoms,
+    asm: &LintAssumptions,
+    lids: &[Option<LidAtoms>; 3],
+) -> Verdict {
+    let (f1, f2) = (&p1.facts, &p2.facts);
     if f1.infeasible || f2.infeasible {
         // One side sits on an unreachable alternative (e.g. the skipped
         // path of a loop whose condition is constant-true on entry).
@@ -483,27 +555,23 @@ fn check_pair(a1: &Access, a2: &Access, atoms: &Atoms, asm: &LintAssumptions) ->
     }
 
     // --- 1. Range disjointness (numeric, then symbolic). ---
-    let (lo1, hi1) = eval_with(&a1.addr, atoms, &f1);
-    let (lo2, hi2) = eval_with(&a2.addr, atoms, &f2);
+    let (lo1, hi1) = p1.range;
+    let (lo2, hi2) = p2.range;
     if lo2.saturating_sub(hi1) >= 4 || lo1.saturating_sub(hi2) >= 4 {
         return Verdict::Disjoint;
     }
-    if let (Some((slo1, shi1)), Some((slo2, shi2))) = (
-        sym_bounds(&a1.addr, atoms, &f1),
-        sym_bounds(&a2.addr, atoms, &f2),
-    ) {
+    if let (Some((slo1, shi1)), Some((slo2, shi2))) = (&p1.sym, &p2.sym) {
         // Shared uniform atoms cancel exactly in the difference.
-        let gap_a = slo2.sub(&shi1).eval_range(atoms).0;
-        let gap_b = slo1.sub(&shi2).eval_range(atoms).0;
+        let gap_a = slo2.sub(shi1).eval_range(atoms).0;
+        let gap_b = slo1.sub(shi2).eval_range(atoms).0;
         if gap_a >= 4 || gap_b >= 4 {
             return Verdict::Disjoint;
         }
     }
 
     // --- 2. Difference analysis. ---
-    let (lane1, unif1) = a1.addr.split_lane(atoms);
-    let (lane2, unif2) = a2.addr.split_lane(atoms);
-    let mut d0 = unif1.sub(&unif2);
+    let (lane1, lane2) = (&p1.lane, &p2.lane);
+    let mut d0 = p1.unif.sub(&p2.unif);
     let mut vars: Vec<Var> = Vec::new();
     let mut opaque_addr = false;
 
@@ -523,8 +591,8 @@ fn check_pair(a1: &Access, a2: &Access, atoms: &Atoms, asm: &LintAssumptions) ->
         let lane_atom = if lm.len() == 1 { Some(lm[0]) } else { None };
         if c1 == c2 {
             // Matched term: δ = lane(x) − lane(y).
-            let (l1, h1) = mono_range(&lm, atoms, &f1);
-            let (l2, h2) = mono_range(&lm, atoms, &f2);
+            let (l1, h1) = mono_range(&lm, atoms, f1);
+            let (l2, h2) = mono_range(&lm, atoms, f2);
             let (dlo, dhi) = (l1.saturating_sub(h2), h1.saturating_sub(l2));
             if dlo == dhi && lane_atom.is_none() {
                 // Exact known δ of an untrackable (compound) lane monomial
@@ -553,7 +621,7 @@ fn check_pair(a1: &Access, a2: &Access, atoms: &Atoms, asm: &LintAssumptions) ->
                 matched: true,
             });
         } else {
-            for (c, f, side1) in [(c1, &f1, true), (c2, &f2, false)] {
+            for (c, f, side1) in [(c1, f1, true), (c2, f2, false)] {
                 if c == 0 {
                     continue;
                 }
@@ -573,7 +641,7 @@ fn check_pair(a1: &Access, a2: &Access, atoms: &Atoms, asm: &LintAssumptions) ->
 
     // Uniform atoms hold one value for both items: intersect refinements.
     let mut fu = Facts::default();
-    for f in [&f1, &f2] {
+    for f in [f1, f2] {
         for (&a, &v) in &f.pins {
             fu.pins.insert(a, v);
         }
@@ -608,7 +676,7 @@ fn check_pair(a1: &Access, a2: &Access, atoms: &Atoms, asm: &LintAssumptions) ->
         }
         split_atoms.truncate(2);
         if !split_atoms.is_empty() {
-            let mut combos: Vec<HashMap<AtomId, i128>> = vec![HashMap::new()];
+            let mut combos: Vec<BTreeMap<AtomId, i128>> = vec![BTreeMap::new()];
             for &(a, lo, hi) in &split_atoms {
                 let mut next = Vec::new();
                 for d in lo..=hi {
@@ -622,7 +690,7 @@ fn check_pair(a1: &Access, a2: &Access, atoms: &Atoms, asm: &LintAssumptions) ->
             }
             let all_disjoint = combos.iter().all(|split| {
                 matches!(
-                    sym_diff_range(a1, a2, atoms, &f1, &f2, &fu, split),
+                    sym_diff_range(p1, p2, atoms, &fu, split),
                     Some((lo, hi)) if lo >= 4 || hi <= -4
                 )
             });
@@ -759,7 +827,7 @@ fn check_pair(a1: &Access, a2: &Access, atoms: &Atoms, asm: &LintAssumptions) ->
     }
 
     // --- 3. Identity closure: are the colliding items the same item? ---
-    let mut known: HashMap<AtomId, Option<i128>> = HashMap::new(); // None = unknown δ
+    let mut known: BTreeMap<AtomId, Option<i128>> = BTreeMap::new(); // None = unknown δ
     for v in &vars {
         // Only matched vars are true δ values; one-sided vars carry the
         // raw value range of a single item.
@@ -789,10 +857,9 @@ fn check_pair(a1: &Access, a2: &Access, atoms: &Atoms, asm: &LintAssumptions) ->
     let mut same_block = false;
     let mut higher_dims_ok = true;
     let mut identity_seen = false;
-    for d in 0..3u8 {
-        let lid = match find_atom(atoms, &AtomKind::LocalId(d)) {
-            Some(a) => a,
-            None => continue, // degenerate or unread dimension
+    for (d, lid) in lids.iter().enumerate() {
+        let Some(lid) = lid else {
+            continue; // degenerate or unread dimension
         };
         identity_seen = true;
         let (delta, block) = resolve_lid_delta(lid, atoms, &known, wave);
@@ -852,11 +919,9 @@ fn check_pair(a1: &Access, a2: &Access, atoms: &Atoms, asm: &LintAssumptions) ->
     }
     let witness_hits = (-3..=3).contains(&witness_sum);
     let mut distinct_possible = false;
-    for d in 0..3u8 {
-        if let Some(lid) = find_atom(atoms, &AtomKind::LocalId(d)) {
-            if resolve_lid_delta(lid, atoms, &witness, wave).0 != Some(0) {
-                distinct_possible = true;
-            }
+    for lid in lids.iter().flatten() {
+        if resolve_lid_delta(lid, atoms, &witness, wave).0 != Some(0) {
+            distinct_possible = true;
         }
     }
     let definite = !opaque_addr
@@ -874,22 +939,20 @@ fn check_pair(a1: &Access, a2: &Access, atoms: &Atoms, asm: &LintAssumptions) ->
 /// δ bound for a `local_id.d` atom from the known-δ closure. Returns
 /// `(exact δ if derivable, confined-to-aligned-block ≤ wavefront)`.
 fn resolve_lid_delta(
-    lid: AtomId,
+    lid: &LidAtoms,
     atoms: &Atoms,
-    known: &HashMap<AtomId, Option<i128>>,
+    known: &BTreeMap<AtomId, Option<i128>>,
     wave: i128,
 ) -> (Option<i128>, bool) {
-    if let Some(Some(d)) = known.get(&lid) {
+    if let Some(Some(d)) = known.get(&lid.lid) {
         return (Some(*d), d.saturating_abs() < wave && *d == 0);
     }
     // Quotient/remainder reconstruction: δlid = 2^s·δQ + δR.
     let mut bound: Option<(u8, i128)> = None; // (shift, exact δQ)
     let mut congruence: Option<(u8, i128)> = None; // (shift, exact δR)
-    for idx in 0..atoms.len() as u32 {
-        let a = AtomId(idx);
-        let info = atoms.info(a);
-        match &info.kind {
-            AtomKind::Quot { arg, shift } if lane_part_is(arg, lid, atoms) => {
+    for &a in &lid.parts {
+        match &atoms.info(a).kind {
+            AtomKind::Quot { shift, .. } => {
                 if let Some(Some(dq)) = known.get(&a) {
                     if *dq == 0 {
                         bound = Some(match bound {
@@ -899,7 +962,7 @@ fn resolve_lid_delta(
                     }
                 }
             }
-            AtomKind::Rem { arg, shift } if lane_part_is(arg, lid, atoms) => {
+            AtomKind::Rem { shift, .. } => {
                 if let Some(Some(dr)) = known.get(&a) {
                     congruence = Some(match congruence {
                         Some((s, v)) if s >= *shift => (s, v),
@@ -924,21 +987,9 @@ fn resolve_lid_delta(
     }
 }
 
-fn lane_part_is(p: &Poly, lid: AtomId, atoms: &Atoms) -> bool {
-    let (lane, _) = p.split_lane(atoms);
-    lane.terms.len() == 1
-        && lane
-            .terms
-            .iter()
-            .next()
-            .map(|(m, &c)| c == 1 && m.len() == 1 && m[0] == lid)
-            .unwrap_or(false)
-}
-
-fn find_atom(atoms: &Atoms, kind: &AtomKind) -> Option<AtomId> {
-    (0..atoms.len() as u32)
-        .map(AtomId)
-        .find(|&a| &atoms.info(a).kind == kind)
+/// The atom `A` when the lane part of `p` is exactly `1·A`.
+fn lane_part_atom(p: &Poly, atoms: &Atoms) -> Option<AtomId> {
+    p.split_lane(atoms).0.as_single_atom()
 }
 
 fn gcd(a: i128, b: i128) -> i128 {
@@ -996,9 +1047,10 @@ fn strip_factor(m: &Monomial, f: &Monomial) -> Option<Monomial> {
     Some(rest)
 }
 
-/// Checks every pair in one interval; returns race diagnostics.
-pub(super) fn check_interval(
-    interval: &Interval,
+/// Checks every same-space access pair of every interval; returns race
+/// diagnostics in interval order.
+pub(super) fn check_intervals(
+    intervals: &[Interval],
     atoms: &Atoms,
     asm: &LintAssumptions,
 ) -> Vec<Diagnostic> {
@@ -1008,39 +1060,67 @@ pub(super) fn check_interval(
             return Vec::new();
         }
     }
+    let lids = index_lids(atoms);
+    // Indexed by `Access::seq`, which is unique per recorded access.
+    let mut prepared: Vec<Option<Prepared>> = Vec::new();
+    let mut checked: HashSet<(usize, usize)> = HashSet::new();
     let mut out = Vec::new();
-    for i in 0..interval.len() {
-        for j in i..interval.len() {
-            let (a1, a2) = (&interval[i], &interval[j]);
-            if a1.space != a2.space {
-                continue;
-            }
-            if a1.kind == AccessKind::Read && a2.kind == AccessKind::Read {
-                continue;
-            }
-            if a1.kind == AccessKind::Atomic && a2.kind == AccessKind::Atomic {
-                continue;
-            }
-            if i == j && a1.kind == AccessKind::Atomic {
-                continue;
-            }
-            match check_pair(a1, a2, atoms, asm) {
-                Verdict::Disjoint | Verdict::SameItem | Verdict::SameWavefront => {}
-                Verdict::Overlap { definite } => {
-                    let (kind, emit) = match a1.space {
-                        MemSpace::Local => (LintKind::LocalRace, true),
-                        MemSpace::Global => (LintKind::GlobalRace, definite),
-                    };
-                    if emit {
-                        let sev = if definite { "definite" } else { "possible" };
-                        out.push(Diagnostic {
-                            kind,
-                            message: format!(
-                                "{sev} {} data race between distinct work-items in one \
-                                 barrier interval: [{}] and [{}]",
-                                a1.space, a1.desc, a2.desc
-                            ),
-                        });
+    for interval in intervals {
+        for i in 0..interval.len() {
+            for j in i..interval.len() {
+                let (a1, a2) = (&*interval[i], &*interval[j]);
+                if a1.space != a2.space {
+                    continue;
+                }
+                if a1.kind == AccessKind::Read && a2.kind == AccessKind::Read {
+                    continue;
+                }
+                if a1.kind == AccessKind::Atomic && a2.kind == AccessKind::Atomic {
+                    continue;
+                }
+                if i == j && a1.kind == AccessKind::Atomic {
+                    continue;
+                }
+                // Global overlaps are reported only when definite, and an
+                // opaque guard on either side rules definiteness out.
+                if a1.space == MemSpace::Global && (a1.opaque_guard || a2.opaque_guard) {
+                    continue;
+                }
+                // An earlier alternative that held this pair already
+                // emitted its message, which `lint_kernel` deduplicates.
+                // The key is ordered: the reversed pair renders a
+                // different message.
+                if !checked.insert((a1.seq, a2.seq)) {
+                    continue;
+                }
+                for a in [a1, a2] {
+                    if a.seq >= prepared.len() {
+                        prepared.resize_with(a.seq + 1, || None);
+                    }
+                    if prepared[a.seq].is_none() {
+                        prepared[a.seq] = Some(Prepared::new(a, atoms));
+                    }
+                }
+                let p1 = prepared[a1.seq].as_ref().expect("prepared above");
+                let p2 = prepared[a2.seq].as_ref().expect("prepared above");
+                match check_pair((a1, p1), (a2, p2), atoms, asm, &lids) {
+                    Verdict::Disjoint | Verdict::SameItem | Verdict::SameWavefront => {}
+                    Verdict::Overlap { definite } => {
+                        let (kind, emit) = match a1.space {
+                            MemSpace::Local => (LintKind::LocalRace, true),
+                            MemSpace::Global => (LintKind::GlobalRace, definite),
+                        };
+                        if emit {
+                            let sev = if definite { "definite" } else { "possible" };
+                            out.push(Diagnostic {
+                                kind,
+                                message: format!(
+                                    "{sev} {} data race between distinct work-items in one \
+                                     barrier interval: [{}] and [{}]",
+                                    a1.space, a1.desc, a2.desc
+                                ),
+                            });
+                        }
                     }
                 }
             }

@@ -6,6 +6,8 @@
 //! * every register is textually defined before use (registers are plain
 //!   storage — a masked-off definition still defines the register — so a
 //!   linear program-order scan is the right discipline);
+//! * every register index is below `Kernel::next_reg`, the register-file
+//!   size the simulator allocates;
 //! * parameter indices are in range;
 //! * int-only binary operators are not applied at `f32`;
 //! * barriers do not execute under *divergent* control flow — an `if` or
@@ -40,6 +42,13 @@ pub enum ValidateError {
         /// Rendering of the instruction that read it.
         inst: String,
     },
+    /// A register used or defined at or past `Kernel::next_reg`.
+    RegOutOfRange {
+        /// The offending register.
+        reg: Reg,
+        /// The kernel's declared register count.
+        next_reg: u32,
+    },
     /// `ReadParam` index out of range.
     ParamOutOfRange {
         /// The index used.
@@ -64,6 +73,9 @@ impl fmt::Display for ValidateError {
         match self {
             ValidateError::UseBeforeDef { reg, inst } => {
                 write!(f, "register {reg} used before definition in `{inst}`")
+            }
+            ValidateError::RegOutOfRange { reg, next_reg } => {
+                write!(f, "register {reg} out of range (next_reg {next_reg})")
             }
             ValidateError::ParamOutOfRange { index, count } => {
                 write!(f, "parameter index {index} out of range ({count} declared)")
@@ -105,6 +117,7 @@ impl Ctx<'_> {
         }
         let mut srcs = Vec::new();
         inst.srcs(&mut srcs);
+        let next_reg = self.kernel.next_reg;
         for r in srcs {
             if !self.defined.contains(&r) {
                 return Err(ValidateError::UseBeforeDef {
@@ -112,6 +125,12 @@ impl Ctx<'_> {
                     inst: format!("{inst:?}"),
                 });
             }
+            if r.0 >= next_reg {
+                return Err(ValidateError::RegOutOfRange { reg: r, next_reg });
+            }
+        }
+        if let Some(reg) = inst.dst().filter(|d| d.0 >= next_reg) {
+            return Err(ValidateError::RegOutOfRange { reg, next_reg });
         }
         match inst {
             Inst::ReadParam { index, .. } if *index >= self.kernel.params.len() => {
@@ -242,6 +261,24 @@ mod tests {
             validate(&k),
             Err(ValidateError::UseBeforeDef { reg, .. }) if reg == ghost
         ));
+    }
+
+    #[test]
+    fn rejects_register_past_next_reg() {
+        let mut b = KernelBuilder::new("bad");
+        let x = b.const_u32(1);
+        b.emit(Inst::Mov {
+            dst: Reg(7),
+            src: x,
+        });
+        let k = b.finish();
+        assert_eq!(
+            validate(&k),
+            Err(ValidateError::RegOutOfRange {
+                reg: Reg(7),
+                next_reg: 1
+            })
+        );
     }
 
     #[test]

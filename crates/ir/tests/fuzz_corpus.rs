@@ -11,7 +11,9 @@
 //! fault-injection cross-check.
 
 use rmt_core::oracle::{check_case, OracleConfig};
+use rmt_ir::analysis::lint::{lint_kernel, LintAssumptions, LintConfig};
 use rmt_ir::fuzz::{parse, serialize};
+use rmt_ir::{validate, Reg, ValidateError};
 use std::path::PathBuf;
 
 fn corpus_dir() -> PathBuf {
@@ -68,5 +70,28 @@ fn every_corpus_case_passes_the_oracle() {
         if let Err(f) = check_case(&case, &cfg) {
             panic!("{}: oracle failure: {f}", path.display());
         }
+    }
+}
+
+#[test]
+fn register_index_mutants_are_rejected_and_lint_stays_total() {
+    // One-token edits of a committed case that put a register at or past
+    // `next_reg`: the simulator sizes its register file from `next_reg`,
+    // so `validate` must reject them. The lint must still return on the
+    // unvalidated kernel rather than panic.
+    let text = std::fs::read_to_string(corpus_dir().join("gen-acd29d6e29229458.rmt")).unwrap();
+    let mutants = [
+        (text.replacen("%39", "%999", 1), Reg(999), 52),
+        (text.replacen("next_reg 52", "next_reg 8", 1), Reg(8), 8),
+    ];
+    for (mutant, reg, next_reg) in mutants {
+        assert_ne!(mutant, text, "the mutation must apply");
+        let case = parse(&mutant).expect("the mutant still parses");
+        assert_eq!(
+            validate(&case.kernel),
+            Err(ValidateError::RegOutOfRange { reg, next_reg })
+        );
+        let cfg = LintConfig::with_assumptions(LintAssumptions::one_dim(case.local));
+        lint_kernel(&case.kernel, &cfg);
     }
 }

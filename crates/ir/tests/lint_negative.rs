@@ -4,7 +4,7 @@
 //! the benchmark suite; this file proves non-zero recall.
 
 use rmt_ir::analysis::lint::{lint_kernel, LintAssumptions, LintConfig, LintKind};
-use rmt_ir::{KernelBuilder, SwizzleMode};
+use rmt_ir::{KernelBuilder, SwizzleMode, Ty};
 
 fn cfg() -> LintConfig {
     LintConfig::with_assumptions(LintAssumptions {
@@ -176,4 +176,54 @@ fn clean_kernel_stays_clean() {
     let a = b.elem_addr(out, gid);
     b.store_global(a, v);
     assert_eq!(kinds(&b.finish()), Vec::<LintKind>::new());
+}
+
+#[test]
+fn diagnostic_text_is_deterministic() {
+    // Twelve registers defined under a uniform `if` each become a fresh
+    // `unk` atom where the branches merge; the guard below renders one of
+    // them. The merge must number its fresh atoms in register order, not
+    // in hash order, or the message changes from call to call.
+    let mut b = KernelBuilder::new("merge_order");
+    let out = b.buffer_param("out");
+    let n = b.scalar_param("n", Ty::U32);
+    let zero = b.const_u32(0);
+    let c = b.ne_u32(n, zero);
+    let mut merged = Vec::new();
+    b.if_(c, |b| {
+        let mut acc = n;
+        for _ in 0..12 {
+            acc = b.add_u32(acc, n);
+            merged.push(acc);
+        }
+    });
+    let lid = b.local_id(0);
+    let g = b.lt_u32(lid, merged[5]);
+    b.if_(g, |b| {
+        let one = b.const_u32(1);
+        let v = b.add_u32(lid, one);
+        let s = b.swizzle(v, SwizzleMode::DupEven);
+        let gid = b.global_id(0);
+        let a = b.elem_addr(out, gid);
+        b.store_global(a, s);
+    });
+    let k = b.finish();
+    let render = || -> Vec<String> {
+        lint_kernel(&k, &cfg())
+            .iter()
+            .map(ToString::to_string)
+            .collect()
+    };
+    let first = render();
+    for _ in 1..20 {
+        assert_eq!(render(), first);
+    }
+    assert_eq!(
+        first,
+        [
+            "[divergent-swizzle] swizzle of a value defined under a guard (on lid0 vs unk6) \
+          that is not uniform across even/odd lane pairs: the source lane may never have \
+          computed it"
+        ]
+    );
 }
