@@ -62,6 +62,18 @@ impl Builtin {
     pub fn is_wavefront_uniform(self) -> bool {
         !matches!(self, Builtin::GlobalId(_) | Builtin::LocalId(_))
     }
+
+    /// The dimension the builtin queries.
+    pub fn dim(self) -> Dim {
+        match self {
+            Builtin::GlobalId(d)
+            | Builtin::LocalId(d)
+            | Builtin::GroupId(d)
+            | Builtin::GlobalSize(d)
+            | Builtin::LocalSize(d)
+            | Builtin::NumGroups(d) => d,
+        }
+    }
 }
 
 impl fmt::Display for Builtin {

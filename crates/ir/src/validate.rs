@@ -9,6 +9,7 @@
 //! * every register index is below `Kernel::next_reg`, the register-file
 //!   size the simulator allocates;
 //! * parameter indices are in range;
+//! * builtins query dimension 0, 1 or 2;
 //! * int-only binary operators are not applied at `f32`;
 //! * barriers do not execute under *divergent* control flow — an `if` or
 //!   `while` whose condition may differ across the work-items of one
@@ -26,7 +27,7 @@
 //! same rule.
 
 use crate::analysis::uniformity::group_divergent_regs;
-use crate::inst::{BinOp, Block, Inst, Reg};
+use crate::inst::{BinOp, Block, Builtin, Inst, Reg};
 use crate::kernel::Kernel;
 use std::collections::HashSet;
 use std::error::Error;
@@ -56,6 +57,11 @@ pub enum ValidateError {
         /// Number of declared parameters.
         count: usize,
     },
+    /// A builtin queried at a dimension past z (2).
+    BuiltinDimOutOfRange {
+        /// The offending builtin.
+        builtin: Builtin,
+    },
     /// An integer-only operator used with a float interpretation.
     IntOnlyOpOnFloat {
         /// The operator.
@@ -79,6 +85,9 @@ impl fmt::Display for ValidateError {
             }
             ValidateError::ParamOutOfRange { index, count } => {
                 write!(f, "parameter index {index} out of range ({count} declared)")
+            }
+            ValidateError::BuiltinDimOutOfRange { builtin } => {
+                write!(f, "builtin `{builtin}` has dimension past 2")
             }
             ValidateError::IntOnlyOpOnFloat { op } => {
                 write!(f, "integer-only operator `{op}` applied at f32")
@@ -138,6 +147,9 @@ impl Ctx<'_> {
                     index: *index,
                     count: self.kernel.params.len(),
                 });
+            }
+            Inst::ReadBuiltin { builtin, .. } if builtin.dim().0 > 2 => {
+                return Err(ValidateError::BuiltinDimOutOfRange { builtin: *builtin });
             }
             Inst::Binary { op, ty, .. } if op.int_only() && ty.is_float() => {
                 return Err(ValidateError::IntOnlyOpOnFloat { op: *op });
@@ -233,7 +245,7 @@ pub fn validate(kernel: &Kernel) -> Result<(), ValidateError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inst::{MemSpace, Reg};
+    use crate::inst::{Dim, MemSpace, Reg};
     use crate::{KernelBuilder, Ty};
 
     #[test]
@@ -290,6 +302,29 @@ mod tests {
             validate(&b.finish()),
             Err(ValidateError::ParamOutOfRange { index: 3, count: 0 })
         ));
+    }
+
+    #[test]
+    fn rejects_builtin_dimension_past_z() {
+        let mut b = KernelBuilder::new("ok");
+        b.global_id(2);
+        b.num_groups(2);
+        assert_eq!(validate(&b.finish()), Ok(()));
+        for builtin in [
+            Builtin::GlobalId(Dim(3)),
+            Builtin::LocalId(Dim(3)),
+            Builtin::GroupId(Dim(4)),
+            Builtin::GlobalSize(Dim(3)),
+            Builtin::LocalSize(Dim(3)),
+            Builtin::NumGroups(Dim(u8::MAX)),
+        ] {
+            let mut b = KernelBuilder::new("bad");
+            b.builtin(builtin);
+            assert_eq!(
+                validate(&b.finish()),
+                Err(ValidateError::BuiltinDimOutOfRange { builtin })
+            );
+        }
     }
 
     #[test]

@@ -3,10 +3,82 @@
 //! Every value is a 32-bit pattern; the instruction's [`Ty`] decides how the
 //! pattern is interpreted. Division and remainder by zero produce 0 for
 //! integer types (GPU convention) and follow IEEE-754 for floats.
+//!
+//! The scalar `eval_*` functions define each operator. The `*_lanes`
+//! kernels apply one to a whole wavefront: they match the operator and
+//! type once, then run a 64-lane loop of the scalar function specialized
+//! to that arm, so the interpreter pays the dispatch once per instruction
+//! rather than once per lane. Every `eval_*` is total (no input panics),
+//! so the kernels compute all 64 lanes and the caller keeps the active
+//! ones.
 
 use rmt_ir::{BinOp, CmpOp, Ty, UnOp};
 
+/// Lanes in a wavefront.
+pub const LANES: usize = 64;
+
+/// One 32-bit value per lane of a wavefront.
+pub type LaneVals = [u32; LANES];
+
+#[inline(always)]
+fn map1(a: &LaneVals, f: impl Fn(u32) -> u32) -> LaneVals {
+    std::array::from_fn(|l| f(a[l]))
+}
+
+#[inline(always)]
+fn map2(a: &LaneVals, b: &LaneVals, f: impl Fn(u32, u32) -> u32) -> LaneVals {
+    std::array::from_fn(|l| f(a[l], b[l]))
+}
+
+/// [`eval_bin`] on every lane: `out[l] = eval_bin(op, ty, a[l], b[l])`.
+pub fn bin_lanes(op: BinOp, ty: Ty, a: &LaneVals, b: &LaneVals) -> LaneVals {
+    macro_rules! arms {
+        ($($o:ident),*) => {
+            match (op, ty) {
+                $(
+                    (BinOp::$o, Ty::U32) => map2(a, b, |x, y| eval_bin(BinOp::$o, Ty::U32, x, y)),
+                    (BinOp::$o, Ty::I32) => map2(a, b, |x, y| eval_bin(BinOp::$o, Ty::I32, x, y)),
+                    (BinOp::$o, Ty::F32) => map2(a, b, |x, y| eval_bin(BinOp::$o, Ty::F32, x, y)),
+                )*
+            }
+        };
+    }
+    arms!(Add, Sub, Mul, Div, Rem, Min, Max, And, Or, Xor, Shl, Shr)
+}
+
+/// [`eval_cmp`] on every lane: `out[l] = eval_cmp(op, ty, a[l], b[l])`.
+pub fn cmp_lanes(op: CmpOp, ty: Ty, a: &LaneVals, b: &LaneVals) -> LaneVals {
+    macro_rules! arms {
+        ($($o:ident),*) => {
+            match (op, ty) {
+                $(
+                    (CmpOp::$o, Ty::U32) => map2(a, b, |x, y| eval_cmp(CmpOp::$o, Ty::U32, x, y)),
+                    (CmpOp::$o, Ty::I32) => map2(a, b, |x, y| eval_cmp(CmpOp::$o, Ty::I32, x, y)),
+                    (CmpOp::$o, Ty::F32) => map2(a, b, |x, y| eval_cmp(CmpOp::$o, Ty::F32, x, y)),
+                )*
+            }
+        };
+    }
+    arms!(Eq, Ne, Lt, Le, Gt, Ge)
+}
+
+/// [`eval_un`] on every lane: `out[l] = eval_un(op, a[l])`.
+pub fn un_lanes(op: UnOp, a: &LaneVals) -> LaneVals {
+    macro_rules! arms {
+        ($($o:ident),*) => {
+            match op {
+                $(UnOp::$o => map1(a, |x| eval_un(UnOp::$o, x)),)*
+            }
+        };
+    }
+    arms!(
+        Not, Neg, Abs, Exp, Log, Sqrt, Rsqrt, Sin, Cos, Floor, F32ToI32, I32ToF32, U32ToF32,
+        F32ToU32
+    )
+}
+
 /// Evaluates a binary operator on two 32-bit patterns at type `ty`.
+#[inline]
 pub fn eval_bin(op: BinOp, ty: Ty, a: u32, b: u32) -> u32 {
     match ty {
         Ty::U32 => eval_bin_u32(op, a, b),
@@ -61,11 +133,25 @@ fn eval_bin_i32(op: BinOp, a: i32, b: i32) -> i32 {
     }
 }
 
+/// `r`, the result of a commutative `a op b`, with the NaN operand order
+/// pinned: when both operands are NaN, `a` propagates (quieted). IEEE-754
+/// leaves that choice open, and the compiler may swap the operands of a
+/// commutative op — it does in vectorized lane loops — so without this
+/// the same inputs could yield either payload.
+#[inline(always)]
+fn nan_a_first(a: f32, b: f32, r: f32) -> f32 {
+    if a.is_nan() && b.is_nan() {
+        f32::from_bits(a.to_bits() | 0x0040_0000)
+    } else {
+        r
+    }
+}
+
 fn eval_bin_f32(op: BinOp, a: f32, b: f32) -> f32 {
     match op {
-        BinOp::Add => a + b,
+        BinOp::Add => nan_a_first(a, b, a + b),
         BinOp::Sub => a - b,
-        BinOp::Mul => a * b,
+        BinOp::Mul => nan_a_first(a, b, a * b),
         BinOp::Div => a / b,
         BinOp::Rem => a % b,
         BinOp::Min => a.min(b),
@@ -76,6 +162,7 @@ fn eval_bin_f32(op: BinOp, a: f32, b: f32) -> f32 {
 }
 
 /// Evaluates a comparison at type `ty`, returning 0 or 1.
+#[inline]
 pub fn eval_cmp(op: CmpOp, ty: Ty, a: u32, b: u32) -> u32 {
     let r = match ty {
         Ty::U32 => match op {
@@ -113,6 +200,7 @@ pub fn eval_cmp(op: CmpOp, ty: Ty, a: u32, b: u32) -> u32 {
 }
 
 /// Evaluates a unary operator on a 32-bit pattern.
+#[inline]
 pub fn eval_un(op: UnOp, a: u32) -> u32 {
     match op {
         UnOp::Not => !a,
@@ -189,6 +277,17 @@ mod tests {
             f(f32::INFINITY)
         );
         assert_eq!(eval_bin(BinOp::Max, Ty::F32, f(-3.0), f(2.0)), f(2.0));
+    }
+
+    #[test]
+    fn two_nan_operands_propagate_the_first() {
+        let (a, b) = (0x7F80_0001, 0xFFC0_1234); // signalling, negative quiet
+        for op in [BinOp::Add, BinOp::Mul] {
+            assert_eq!(eval_bin(op, Ty::F32, a, b), 0x7FC0_0001, "{op:?}");
+            assert_eq!(eval_bin(op, Ty::F32, b, a), 0xFFC0_1234, "{op:?}");
+            let lanes = bin_lanes(op, Ty::F32, &[a; LANES], &[b; LANES]);
+            assert_eq!(lanes, [0x7FC0_0001; LANES], "{op:?}");
+        }
     }
 
     #[test]

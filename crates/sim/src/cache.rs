@@ -145,7 +145,7 @@ impl Cache {
             true
         } else {
             self.stats.read_misses += 1;
-            self.insert(line_addr, Vec::new());
+            self.insert(line_addr);
             false
         }
     }
@@ -171,55 +171,50 @@ impl Cache {
         }
     }
 
-    /// Reads a word from a cached line *without* touching stats or LRU.
-    /// Used for the functional value after timing was already charged.
-    pub fn peek_word(&self, addr: u32) -> Option<u32> {
-        if !self.with_data {
-            return None;
-        }
-        let line_addr = self.line_addr(addr);
-        self.find(line_addr).map(|i| {
-            let off = (addr - line_addr) as usize;
-            let d = &self.ways[i].data;
-            u32::from_le_bytes(d[off..off + 4].try_into().expect("4B"))
-        })
+    /// The way holding `addr`'s line, if cached (no stats, no LRU update).
+    /// A wavefront memory instruction looks each line up once and then
+    /// serves its lanes through [`Cache::word_in`] / [`Cache::store_in`].
+    pub fn way_of(&self, addr: u32) -> Option<usize> {
+        self.find(self.line_addr(addr))
     }
 
-    /// Installs line contents after a miss (data caches).
-    pub fn fill(&mut self, line_addr: u32, data: Vec<u8>) {
+    /// Reads the 32-bit word at `addr` from way `way`'s data copy, which
+    /// must hold `addr`'s line (data caches only; no stats, no LRU update).
+    pub fn word_in(&self, way: usize, addr: u32) -> u32 {
+        let off = (addr & (self.line - 1)) as usize;
+        let d = &self.ways[way].data;
+        u32::from_le_bytes(d[off..off + 4].try_into().expect("4B"))
+    }
+
+    /// Installs a line after a miss. For data caches `write` fills the
+    /// victim way's buffer in place with the line's contents.
+    pub fn fill(&mut self, line_addr: u32, write: impl FnOnce(&mut [u8])) {
         let line_addr = self.line_addr(line_addr);
-        debug_assert_eq!(
-            data.len(),
-            if self.with_data {
-                self.line as usize
-            } else {
-                0
-            }
-        );
         if self.find(line_addr).is_none() {
-            self.insert(line_addr, data);
+            let i = self.insert(line_addr);
+            if self.with_data {
+                let data = &mut self.ways[i].data;
+                data.resize(self.line as usize, 0);
+                write(data);
+            }
         }
     }
 
-    /// Write-through store: updates the cached copy if present (no
-    /// allocation on miss). Returns `true` on hit.
-    pub fn store_word(&mut self, addr: u32, value: u32) -> bool {
-        let line_addr = self.line_addr(addr);
+    /// One lane's write-through store to `addr`, whose line was looked up
+    /// as `way` ([`Cache::way_of`]): updates the cached copy on a hit (no
+    /// allocation on miss) and records the hit or miss.
+    pub fn store_in(&mut self, way: Option<usize>, addr: u32, value: u32) {
         self.stamp += 1;
-        match self.find(line_addr) {
+        match way {
             Some(i) => {
                 self.ways[i].stamp = self.stamp;
                 self.stats.write_hits += 1;
                 if self.with_data {
-                    let off = (addr - line_addr) as usize;
+                    let off = (addr & (self.line - 1)) as usize;
                     self.ways[i].data[off..off + 4].copy_from_slice(&value.to_le_bytes());
                 }
-                true
             }
-            None => {
-                self.stats.write_misses += 1;
-                false
-            }
+            None => self.stats.write_misses += 1,
         }
     }
 
@@ -253,7 +248,10 @@ impl Cache {
         self.ways.iter().filter(|w| w.valid).count()
     }
 
-    fn insert(&mut self, line_addr: u32, data: Vec<u8>) {
+    /// Claims a way for `line_addr` (an invalid one, else the LRU) and
+    /// returns it; its data buffer keeps the previous line's bytes until
+    /// the caller overwrites them.
+    fn insert(&mut self, line_addr: u32) -> usize {
         let set = self.set_of(line_addr);
         let range = set * self.assoc..(set + 1) * self.assoc;
         // Prefer an invalid way; otherwise evict LRU.
@@ -273,12 +271,11 @@ impl Cache {
             self.stats.evictions += 1;
         }
         self.stamp += 1;
-        self.ways[victim] = Way {
-            tag: line_addr as u64,
-            valid: true,
-            stamp: self.stamp,
-            data,
-        };
+        let w = &mut self.ways[victim];
+        w.tag = line_addr as u64;
+        w.valid = true;
+        w.stamp = self.stamp;
+        victim
     }
 }
 
@@ -286,8 +283,18 @@ impl Cache {
 mod tests {
     use super::*;
 
-    fn line_data(seed: u8) -> Vec<u8> {
-        (0..64).map(|i| seed.wrapping_add(i)).collect()
+    fn line_data(seed: u8) -> impl FnOnce(&mut [u8]) {
+        move |buf| {
+            for (i, b) in buf.iter_mut().enumerate() {
+                *b = seed.wrapping_add(i as u8);
+            }
+        }
+    }
+
+    fn store_word(c: &mut Cache, addr: u32, value: u32) -> bool {
+        let way = c.way_of(addr);
+        c.store_in(way, addr, value);
+        way.is_some()
     }
 
     #[test]
@@ -304,11 +311,16 @@ mod tests {
     #[test]
     fn write_through_updates_copy_without_allocating() {
         let mut c = Cache::new(1024, 64, 2, true);
-        assert!(!c.store_word(0x100, 7), "miss, no allocate");
+        assert!(!store_word(&mut c, 0x100, 7), "miss, no allocate");
         assert_eq!(c.valid_lines(), 0);
         c.fill(0x100, line_data(0));
-        assert!(c.store_word(0x100, 0xAABBCCDD));
+        assert!(store_word(&mut c, 0x100, 0xAABBCCDD));
         assert_eq!(c.load_word(0x100), Some(0xAABBCCDD));
+        assert_eq!(
+            c.way_of(0x100).map(|w| c.word_in(w, 0x104)),
+            Some(0x07060504)
+        );
+        assert_eq!((c.stats.write_hits, c.stats.write_misses), (1, 1));
     }
 
     #[test]
@@ -346,7 +358,7 @@ mod tests {
     #[test]
     fn flip_bit_corrupts_cached_copy() {
         let mut c = Cache::new(1024, 64, 2, true);
-        c.fill(0x100, vec![0u8; 64]);
+        c.fill(0x100, |buf| buf.fill(0));
         assert!(c.flip_bit(0x104, 3));
         assert_eq!(c.load_word(0x104), Some(8));
         assert!(!c.flip_bit(0x900, 0), "uncached line");

@@ -54,7 +54,7 @@
 //! 5. functional effects (register writes, LDS/global stores, L1 fills)
 //!    land last, then the wave re-arms at its new `ready_at`.
 
-use crate::alu;
+use crate::alu::{self, LaneVals, LANES};
 use crate::cache::{Cache, L2Banks};
 use crate::config::{DeviceConfig, SimEngine};
 use crate::counters::PerfCounters;
@@ -66,8 +66,6 @@ use crate::launch::{LaunchConfig, Occupancy, OccupancyLimiter};
 use crate::memory::{DramTimer, GlobalMemory};
 use crate::power::PowerModel;
 use rmt_ir::{AtomicOp, Builtin, Inst, MemSpace, ParamKind, Reg};
-
-const LANES: usize = 64;
 
 /// Ascending-order iterator over the set bits of an EXEC mask: a bit-scan
 /// per active lane instead of a 64-iteration filter, so sparse masks
@@ -87,6 +85,88 @@ impl Iterator for Lanes {
             Some(l)
         }
     }
+}
+
+/// Register `r`'s value on every lane of a wave's register file.
+fn lanes_of(regs: &[u32], r: Reg) -> &LaneVals {
+    let i = r.0 as usize * LANES;
+    regs[i..i + LANES].try_into().expect("64 lanes")
+}
+
+/// The lanes of `mask` on which `vals` is nonzero.
+fn nonzero_lanes(vals: &LaneVals, mask: u64) -> u64 {
+    let mut m = 0u64;
+    for (l, &v) in vals.iter().enumerate() {
+        m |= u64::from(v != 0) << l;
+    }
+    m & mask
+}
+
+/// Writes `vals` into register `dst` on the lanes in `mask` only.
+fn write_masked(regs: &mut [u32], dst: Reg, vals: &LaneVals, mask: u64) {
+    let i = dst.0 as usize * LANES;
+    let d = &mut regs[i..i + LANES];
+    if mask == u64::MAX {
+        d.copy_from_slice(vals);
+    } else {
+        for l in Lanes(mask) {
+            d[l] = vals[l];
+        }
+    }
+}
+
+/// Collects into `lines` the distinct lines (`addr & line_mask`) the lanes
+/// in `mask` touch, in first-touch (ascending lane) order, and records in
+/// `lane_line` each active lane's index into `lines`.
+fn gather_lines(
+    addrs: &LaneVals,
+    mask: u64,
+    line_mask: u32,
+    lines: &mut Vec<u32>,
+    lane_line: &mut [u8; LANES],
+) {
+    lines.clear();
+    for l in Lanes(mask) {
+        let line = addrs[l] & line_mask;
+        // Neighbouring lanes usually share the newest line: search back.
+        let i = lines.iter().rposition(|&x| x == line).unwrap_or_else(|| {
+            lines.push(line);
+            lines.len() - 1
+        });
+        lane_line[l] = i as u8;
+    }
+}
+
+/// The L1 way holding each of `lines` (see [`gather_lines`]), if cached.
+fn line_ways(l1: &Cache, lines: &[u32]) -> [Option<usize>; LANES] {
+    let mut ways = [None; LANES];
+    for (way, &line) in ways.iter_mut().zip(lines) {
+        *way = l1.way_of(line);
+    }
+    ways
+}
+
+/// The word an atomic `op` leaves at a location holding `old`, given the
+/// lane's operand `v` and, for compare-exchange, its comparand `cmp`.
+fn atomic_result(op: AtomicOp, old: u32, v: u32, cmp: u32) -> u32 {
+    match op {
+        AtomicOp::Add => old.wrapping_add(v),
+        AtomicOp::Exchange => v,
+        AtomicOp::CmpXchg { .. } => {
+            if old == cmp {
+                v
+            } else {
+                old
+            }
+        }
+        AtomicOp::Max => old.max(v),
+        AtomicOp::Min => old.min(v),
+    }
+}
+
+/// `true` if the 4-byte word at `addr` lies inside an LDS of `lds_bytes`.
+fn lds_word_in_range(addr: u32, lds_bytes: u32) -> bool {
+    addr.checked_add(4).is_some_and(|end| end <= lds_bytes)
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -708,39 +788,50 @@ impl<'a> Machine<'a> {
 
     // ---- per-instruction execution ----------------------------------------
 
-    fn reg(&self, wid: usize, r: Reg, lane: usize) -> u32 {
-        self.waves[wid].regs[r.0 as usize * LANES + lane]
-    }
-
-    fn set_reg(&mut self, wid: usize, r: Reg, lane: usize, v: u32) {
-        self.waves[wid].regs[r.0 as usize * LANES + lane] = v;
-    }
-
     fn lanes(mask: u64) -> Lanes {
         Lanes(mask)
     }
 
-    fn builtin_value(&self, wid: usize, b: Builtin, lane: usize) -> u32 {
+    /// The value of builtin `b` on each lane of wave `wid`.
+    fn builtin_lanes(&self, wid: usize, b: Builtin) -> LaneVals {
         let w = &self.waves[wid];
         let g = &self.groups[w.group];
-        let ll = w.wave_in_group * LANES + lane; // local linear index
-        let lsx = self.local[0];
-        let lsy = self.local[1];
-        let lcoord = [
-            (ll % lsx) as u32,
-            ((ll / lsx) % lsy) as u32,
-            (ll / (lsx * lsy)) as u32,
-        ];
+        let d = b.dim().0 as usize;
         match b {
-            Builtin::GlobalId(d) => {
-                g.coords[d.0 as usize] * self.local[d.0 as usize] as u32 + lcoord[d.0 as usize]
+            Builtin::GlobalId(_) => {
+                let first = g.coords[d] * self.local[d] as u32;
+                self.local_ids(w.wave_in_group, d).map(|id| first + id)
             }
-            Builtin::LocalId(d) => lcoord[d.0 as usize],
-            Builtin::GroupId(d) => g.coords[d.0 as usize],
-            Builtin::GlobalSize(d) => self.global[d.0 as usize] as u32,
-            Builtin::LocalSize(d) => self.local[d.0 as usize] as u32,
-            Builtin::NumGroups(d) => self.group_dims[d.0 as usize] as u32,
+            Builtin::LocalId(_) => self.local_ids(w.wave_in_group, d),
+            Builtin::GroupId(_) => [g.coords[d]; LANES],
+            Builtin::GlobalSize(_) => [self.global[d] as u32; LANES],
+            Builtin::LocalSize(_) => [self.local[d] as u32; LANES],
+            Builtin::NumGroups(_) => [self.group_dims[d] as u32; LANES],
         }
+    }
+
+    /// Local id along dimension `d` of each lane of a group's
+    /// `wave_in_group`-th wave. The wave's first work-item is
+    /// delinearized once; the rest step through the group's x/y/z
+    /// extents in linear order.
+    fn local_ids(&self, wave_in_group: usize, d: usize) -> LaneVals {
+        let [lsx, lsy, _] = self.local;
+        let first = wave_in_group * LANES;
+        let mut xyz = [first % lsx, (first / lsx) % lsy, first / (lsx * lsy)];
+        let mut out = [0; LANES];
+        for v in &mut out {
+            *v = xyz[d] as u32;
+            xyz[0] += 1;
+            if xyz[0] == lsx {
+                xyz[0] = 0;
+                xyz[1] += 1;
+                if xyz[1] == lsy {
+                    xyz[1] = 0;
+                    xyz[2] += 1;
+                }
+            }
+        }
+        out
     }
 
     /// Charges an ALU op and returns nothing; updates ready_at.
@@ -895,14 +986,7 @@ impl<'a> Machine<'a> {
                 end_pc: _,
             } => {
                 let mask = self.waves[wid].mask;
-                let cbase = cond.0 as usize * LANES;
-                let regs = &self.waves[wid].regs;
-                let mut tmask = 0u64;
-                for l in Self::lanes(mask) {
-                    if regs[cbase + l] != 0 {
-                        tmask |= 1 << l;
-                    }
-                }
+                let tmask = nonzero_lanes(lanes_of(&self.waves[wid].regs, cond), mask);
                 let emask = mask & !tmask;
                 self.waves[wid].stack.push(Frame::If {
                     saved: mask,
@@ -947,14 +1031,7 @@ impl<'a> Machine<'a> {
             }
             FlatOp::LoopTest { cond, end_pc } => {
                 let mask = self.waves[wid].mask;
-                let cbase = cond.0 as usize * LANES;
-                let regs = &self.waves[wid].regs;
-                let mut active = 0u64;
-                for l in Self::lanes(mask) {
-                    if regs[cbase + l] != 0 {
-                        active |= 1 << l;
-                    }
-                }
+                let active = nonzero_lanes(lanes_of(&self.waves[wid].regs, cond), mask);
                 if active == 0 {
                     let frame = self.waves[wid].stack.pop().expect("loop frame");
                     let Frame::Loop { saved } = frame else {
@@ -1038,158 +1115,59 @@ impl<'a> Machine<'a> {
         transcendental: bool,
     ) -> Result<(), SimError> {
         let mask = self.waves[wid].mask;
-        // ALU arms hoist the register-file borrow and per-register base
-        // indices out of the lane loop, with a full-mask (non-divergent)
-        // fast path that iterates 0..64 directly instead of bit-scanning.
-        match inst {
-            Inst::Const { dst, bits, .. } => {
-                let di = dst.0 as usize * LANES;
-                let regs = &mut self.waves[wid].regs;
-                if mask == u64::MAX {
-                    regs[di..di + LANES].fill(*bits);
-                } else {
-                    for l in Self::lanes(mask) {
-                        regs[di + l] = *bits;
-                    }
-                }
-                self.advance(wid, t, scalar, false);
-            }
-            Inst::ReadParam { dst, index } => {
-                let v = self.param_values[*index];
-                let di = dst.0 as usize * LANES;
-                let regs = &mut self.waves[wid].regs;
-                if mask == u64::MAX {
-                    regs[di..di + LANES].fill(v);
-                } else {
-                    for l in Self::lanes(mask) {
-                        regs[di + l] = v;
-                    }
-                }
-                self.advance(wid, t, scalar, false);
-            }
-            Inst::ReadBuiltin { dst, builtin } => {
-                for l in Self::lanes(mask) {
-                    let v = self.builtin_value(wid, *builtin, l);
-                    self.set_reg(wid, *dst, l, v);
-                }
-                self.advance(wid, t, scalar, false);
-            }
-            Inst::Mov { dst, src } => {
-                let di = dst.0 as usize * LANES;
-                let si = src.0 as usize * LANES;
-                let regs = &mut self.waves[wid].regs;
-                if mask == u64::MAX {
-                    for l in 0..LANES {
-                        regs[di + l] = regs[si + l];
-                    }
-                } else {
-                    for l in Self::lanes(mask) {
-                        regs[di + l] = regs[si + l];
-                    }
-                }
-                self.advance(wid, t, scalar, false);
-            }
-            Inst::Unary { dst, op, a } => {
-                let di = dst.0 as usize * LANES;
-                let ai = a.0 as usize * LANES;
-                let regs = &mut self.waves[wid].regs;
-                if mask == u64::MAX {
-                    for l in 0..LANES {
-                        regs[di + l] = alu::eval_un(*op, regs[ai + l]);
-                    }
-                } else {
-                    for l in Self::lanes(mask) {
-                        regs[di + l] = alu::eval_un(*op, regs[ai + l]);
-                    }
-                }
-                self.advance(wid, t, scalar, transcendental);
-            }
-            Inst::Binary { dst, op, ty, a, b } => {
-                let di = dst.0 as usize * LANES;
-                let ai = a.0 as usize * LANES;
-                let bi = b.0 as usize * LANES;
-                let regs = &mut self.waves[wid].regs;
-                if mask == u64::MAX {
-                    for l in 0..LANES {
-                        regs[di + l] = alu::eval_bin(*op, *ty, regs[ai + l], regs[bi + l]);
-                    }
-                } else {
-                    for l in Self::lanes(mask) {
-                        regs[di + l] = alu::eval_bin(*op, *ty, regs[ai + l], regs[bi + l]);
-                    }
-                }
-                self.advance(wid, t, scalar, false);
-            }
-            Inst::Cmp { dst, op, ty, a, b } => {
-                let di = dst.0 as usize * LANES;
-                let ai = a.0 as usize * LANES;
-                let bi = b.0 as usize * LANES;
-                let regs = &mut self.waves[wid].regs;
-                if mask == u64::MAX {
-                    for l in 0..LANES {
-                        regs[di + l] = alu::eval_cmp(*op, *ty, regs[ai + l], regs[bi + l]);
-                    }
-                } else {
-                    for l in Self::lanes(mask) {
-                        regs[di + l] = alu::eval_cmp(*op, *ty, regs[ai + l], regs[bi + l]);
-                    }
-                }
-                self.advance(wid, t, scalar, false);
-            }
+        // ALU ops compute all 64 lanes once per instruction (into a fresh
+        // stack array, so a `dst` that aliases a source is safe), then
+        // write back only the active lanes.
+        let regs = &self.waves[wid].regs;
+        let src = |r: Reg| lanes_of(regs, r);
+        let (dst, vals) = match *inst {
+            Inst::Const { dst, bits, .. } => (dst, [bits; LANES]),
+            Inst::ReadParam { dst, index } => (dst, [self.param_values[index]; LANES]),
+            Inst::ReadBuiltin { dst, builtin } => (dst, self.builtin_lanes(wid, builtin)),
+            Inst::Mov { dst, src: s } => (dst, *src(s)),
+            Inst::Unary { dst, op, a } => (dst, alu::un_lanes(op, src(a))),
+            Inst::Binary { dst, op, ty, a, b } => (dst, alu::bin_lanes(op, ty, src(a), src(b))),
+            Inst::Cmp { dst, op, ty, a, b } => (dst, alu::cmp_lanes(op, ty, src(a), src(b))),
             Inst::Select {
                 dst,
                 cond,
                 if_true,
                 if_false,
             } => {
-                let di = dst.0 as usize * LANES;
-                let ci = cond.0 as usize * LANES;
-                let ti = if_true.0 as usize * LANES;
-                let fi = if_false.0 as usize * LANES;
-                let regs = &mut self.waves[wid].regs;
-                if mask == u64::MAX {
-                    for l in 0..LANES {
-                        let src = if regs[ci + l] != 0 { ti } else { fi };
-                        regs[di + l] = regs[src + l];
-                    }
-                } else {
-                    for l in Self::lanes(mask) {
-                        let src = if regs[ci + l] != 0 { ti } else { fi };
-                        regs[di + l] = regs[src + l];
-                    }
-                }
-                self.advance(wid, t, scalar, false);
+                let (c, yes, no) = (src(cond), src(if_true), src(if_false));
+                let vals = std::array::from_fn(|l| if c[l] != 0 { yes[l] } else { no[l] });
+                (dst, vals)
             }
-            Inst::Swizzle { dst, src, mode } => {
-                // Read all lanes first (true lane exchange).
-                let di = dst.0 as usize * LANES;
-                let si = src.0 as usize * LANES;
-                let regs = &mut self.waves[wid].regs;
-                let mut snapshot = [0u32; LANES];
-                snapshot.copy_from_slice(&regs[si..si + LANES]);
-                for l in Self::lanes(mask) {
-                    regs[di + l] = snapshot[mode.source_lane(l)];
-                }
-                self.advance(wid, t, false, false); // always a vector op
+            Inst::Swizzle { dst, src: s, mode } => {
+                // A true lane exchange: every lane reads the source as it
+                // was before the instruction.
+                let s = src(s);
+                (dst, std::array::from_fn(|l| s[mode.source_lane(l)]))
             }
-            Inst::Load { dst, space, addr } => match space {
-                MemSpace::Global => self.exec_global_load(wid, t, *dst, *addr, scalar)?,
-                MemSpace::Local => self.exec_lds(wid, t, Some(*dst), *addr, None)?,
-            },
-            Inst::Store { space, addr, value } => match space {
-                MemSpace::Global => self.exec_global_store(wid, t, *addr, *value)?,
-                MemSpace::Local => self.exec_lds(wid, t, None, *addr, Some(*value))?,
-            },
+            Inst::Load { dst, space, addr } => {
+                return match space {
+                    MemSpace::Global => self.exec_global_load(wid, t, dst, addr, scalar),
+                    MemSpace::Local => self.exec_lds(wid, t, Some(dst), addr, None),
+                }
+            }
+            Inst::Store { space, addr, value } => {
+                return match space {
+                    MemSpace::Global => self.exec_global_store(wid, t, addr, value),
+                    MemSpace::Local => self.exec_lds(wid, t, None, addr, Some(value)),
+                }
+            }
             Inst::Atomic {
                 dst,
                 space,
                 op,
                 addr,
                 value,
-            } => match space {
-                MemSpace::Global => self.exec_global_atomic(wid, t, *dst, *op, *addr, *value)?,
-                MemSpace::Local => self.exec_lds_atomic(wid, t, *dst, *op, *addr, *value)?,
-            },
+            } => {
+                return match space {
+                    MemSpace::Global => self.exec_global_atomic(wid, t, dst, op, addr, value),
+                    MemSpace::Local => self.exec_lds_atomic(wid, t, dst, op, addr, value),
+                }
+            }
             Inst::Barrier => {
                 let gidx = self.waves[wid].group;
                 let pc = self.waves[wid].pc;
@@ -1217,7 +1195,12 @@ impl<'a> Machine<'a> {
             Inst::If { .. } | Inst::While { .. } => {
                 unreachable!("control flow is lowered before execution")
             }
-        }
+        };
+        write_masked(&mut self.waves[wid].regs, dst, &vals, mask);
+        // A swizzle is always a vector op; only unary ops can be
+        // transcendental.
+        let scalar = scalar && !matches!(inst, Inst::Swizzle { .. });
+        self.advance(wid, t, scalar, transcendental);
         Ok(())
     }
 
@@ -1244,23 +1227,13 @@ impl<'a> Machine<'a> {
         let cu = self.waves[wid].cu;
         let lat = self.cfg.lat;
         let line_mask = !(self.cfg.line_bytes - 1);
-        let abase = addr.0 as usize * LANES;
+        let addrs = *lanes_of(&self.waves[wid].regs, addr);
 
-        // Gather distinct lines (coalescing), preserving first-touch order.
-        // The address-register base and the line mask are applied outside
-        // any per-lane recomputation, and the gather buffer is reused
-        // across memory instructions.
+        // Gather distinct lines (coalescing), preserving first-touch order,
+        // into a buffer reused across memory instructions.
         let mut lines = std::mem::take(&mut self.line_scratch);
-        lines.clear();
-        {
-            let regs = &self.waves[wid].regs;
-            for l in Self::lanes(mask) {
-                let a = regs[abase + l] & line_mask;
-                if !lines.contains(&a) {
-                    lines.push(a);
-                }
-            }
-        }
+        let mut lane_line = [0u8; LANES];
+        gather_lines(&addrs, mask, line_mask, &mut lines, &mut lane_line);
 
         let issue;
         if scalar {
@@ -1297,19 +1270,26 @@ impl<'a> Machine<'a> {
                     d_start + lat.dram_latency
                 };
                 done = done.max(line_done);
-                let data = self.mem.read_line(line, self.cfg.line_bytes as usize);
-                self.l1[cu].fill(line, data);
+                let mem = &*self.mem;
+                self.l1[cu].fill(line, |buf| mem.read_line(line, buf));
             }
         }
 
         // Functional: validate bounds via backing store, then take the
-        // (possibly stale) L1 copy as the observed value.
+        // (possibly stale) L1 copy as the observed value. A later fill of
+        // this instruction can evict an earlier line, so each line's way
+        // is looked up once, after all fills.
+        let l1 = &self.l1[cu];
+        let ways = line_ways(l1, &lines);
         let dbase = dst.0 as usize * LANES;
+        let regs = &mut self.waves[wid].regs;
         for l in Self::lanes(mask) {
-            let a = self.waves[wid].regs[abase + l];
+            let a = addrs[l];
             let coherent = self.mem.load(a, &self.kernel.name)?;
-            let observed = self.l1[cu].peek_word(a).unwrap_or(coherent);
-            self.waves[wid].regs[dbase + l] = observed;
+            regs[dbase + l] = match ways[lane_line[l] as usize] {
+                Some(way) => l1.word_in(way, a),
+                None => coherent,
+            };
         }
         self.counters.bytes_loaded += 4 * mask.count_ones() as u64;
 
@@ -1342,19 +1322,11 @@ impl<'a> Machine<'a> {
         let cu = self.waves[wid].cu;
         let lat = self.cfg.lat;
         let line_mask = !(self.cfg.line_bytes - 1);
-        let abase = addr.0 as usize * LANES;
+        let addrs = *lanes_of(&self.waves[wid].regs, addr);
 
         let mut lines = std::mem::take(&mut self.line_scratch);
-        lines.clear();
-        {
-            let regs = &self.waves[wid].regs;
-            for l in Self::lanes(mask) {
-                let a = regs[abase + l] & line_mask;
-                if !lines.contains(&a) {
-                    lines.push(a);
-                }
-            }
-        }
+        let mut lane_line = [0u8; LANES];
+        gather_lines(&addrs, mask, line_mask, &mut lines, &mut lane_line);
 
         // Phase 1 (intra-tick order, point 2): reserve the issue unit.
         let occ = lines.len() as u64 * lat.l1_issue;
@@ -1395,12 +1367,15 @@ impl<'a> Machine<'a> {
         }
 
         // Functional: write-through to the backing store + own L1 copy.
-        let vbase = value.0 as usize * LANES;
+        // Stores never change which lines are cached, so each line's way
+        // is looked up once.
+        let l1 = &mut self.l1[cu];
+        let ways = line_ways(l1, &lines);
+        let vals = lanes_of(&self.waves[wid].regs, value);
         for l in Self::lanes(mask) {
-            let a = self.waves[wid].regs[abase + l];
-            let v = self.waves[wid].regs[vbase + l];
+            let (a, v) = (addrs[l], vals[l]);
             self.mem.store(a, v, &self.kernel.name)?;
-            self.l1[cu].store_word(a, v);
+            l1.store_in(ways[lane_line[l] as usize], a, v);
         }
         self.counters.bytes_stored += 4 * mask.count_ones() as u64;
 
@@ -1446,57 +1421,53 @@ impl<'a> Machine<'a> {
         // Atomics execute at the L2 banks, bypassing (and invalidating)
         // the local L1 lines. Distinct addresses within one line pipeline
         // as a single bank transaction; same-address lanes serialize (RMW
-        // dependency chains).
+        // dependency chains), so a line costs its largest same-address
+        // lane count. Sorting `(addr, line index)` keys puts each address's
+        // lanes in one run.
         let line_mask = !(self.cfg.line_bytes - 1);
-        let abase = addr.0 as usize * LANES;
-        let mut line_costs: Vec<(u32, Vec<(u32, u32)>)> = Vec::new(); // line -> [(addr, dup count)]
-        for l in Self::lanes(mask) {
-            let a = self.waves[wid].regs[abase + l];
-            let line = a & line_mask;
-            let entry = match line_costs.iter_mut().find(|(ln, _)| *ln == line) {
-                Some(e) => e,
-                None => {
-                    line_costs.push((line, Vec::new()));
-                    line_costs.last_mut().expect("just pushed")
-                }
-            };
-            match entry.1.iter_mut().find(|(ad, _)| *ad == a) {
-                Some(slot) => slot.1 += 1,
-                None => entry.1.push((a, 1)),
-            }
+        let regs = &self.waves[wid].regs;
+        let addrs = *lanes_of(regs, addr);
+        let vals = *lanes_of(regs, value);
+        let cmps = match op {
+            AtomicOp::CmpXchg { cmp } => *lanes_of(regs, cmp),
+            _ => [0; LANES],
+        };
+        let mut lines = std::mem::take(&mut self.line_scratch);
+        let mut lane_line = [0u8; LANES];
+        gather_lines(&addrs, mask, line_mask, &mut lines, &mut lane_line);
+        let mut keys = [0u64; LANES];
+        for (key, l) in keys.iter_mut().zip(Self::lanes(mask)) {
+            *key = u64::from(addrs[l]) << 8 | u64::from(lane_line[l]);
+        }
+        let keys = &mut keys[..nlanes as usize];
+        keys.sort_unstable();
+        let mut conflict = [0u64; LANES];
+        for run in keys.chunk_by(|a, b| a == b) {
+            let i = (run[0] & 0xFF) as usize;
+            conflict[i] = conflict[i].max(run.len() as u64);
         }
         let mut done_by = issue;
-        for (line, addrs) in &line_costs {
-            let conflict = addrs.iter().map(|&(_, c)| c).max().unwrap_or(1) as u64;
+        for (&line, &conflict) in lines.iter().zip(&conflict) {
             let start = self
                 .l2_banks
-                .reserve(*line, issue, conflict * lat.atomic_issue);
+                .reserve(line, issue, conflict * lat.atomic_issue);
             done_by = done_by.max(start + conflict * lat.atomic_issue);
             self.counters.l2_transactions += 1;
             self.power.deposit(start, self.cfg.power.atomic_nj);
         }
+        // Nothing reads the L1 during the lane loop, so each touched line
+        // is dropped once, up front.
+        for &line in &lines {
+            self.l1[cu].invalidate(line);
+        }
+        self.line_scratch = lines;
         for l in Self::lanes(mask) {
-            let a = self.reg(wid, addr, l);
-            let v = self.reg(wid, value, l);
+            let (a, v) = (addrs[l], vals[l]);
             let old = self.mem.load(a, &self.kernel.name)?;
-            let new = match op {
-                AtomicOp::Add => old.wrapping_add(v),
-                AtomicOp::Exchange => v,
-                AtomicOp::CmpXchg { cmp } => {
-                    let c = self.reg(wid, cmp, l);
-                    if old == c {
-                        v
-                    } else {
-                        old
-                    }
-                }
-                AtomicOp::Max => old.max(v),
-                AtomicOp::Min => old.min(v),
-            };
+            let new = atomic_result(op, old, v, cmps[l]);
             self.mem.store(a, new, &self.kernel.name)?;
-            self.l1[cu].invalidate(a);
             if let Some(d) = dst {
-                self.set_reg(wid, d, l, old);
+                self.waves[wid].regs[d.0 as usize * LANES + l] = old;
             }
         }
 
@@ -1550,7 +1521,7 @@ impl<'a> Machine<'a> {
                     if !a.is_multiple_of(4) {
                         return Err(SimError::UnalignedAccess { addr: a });
                     }
-                    if a + 4 > lds_bytes {
+                    if !lds_word_in_range(a, lds_bytes) {
                         return Err(SimError::BadLdsAccess {
                             offset: a,
                             lds_bytes,
@@ -1650,12 +1621,18 @@ impl<'a> Machine<'a> {
         self.counters.lds_insts += 1;
         self.power.deposit(issue, self.cfg.power.lds_nj);
 
+        let regs = &self.waves[wid].regs;
+        let (addrs, vals) = (*lanes_of(regs, addr), *lanes_of(regs, value));
+        let cmps = match op {
+            AtomicOp::CmpXchg { cmp } => *lanes_of(regs, cmp),
+            _ => [0; LANES],
+        };
         for l in Self::lanes(mask) {
-            let a = self.reg(wid, addr, l);
+            let a = addrs[l];
             if !a.is_multiple_of(4) {
                 return Err(SimError::UnalignedAccess { addr: a });
             }
-            if a + 4 > lds_bytes {
+            if !lds_word_in_range(a, lds_bytes) {
                 return Err(SimError::BadLdsAccess {
                     offset: a,
                     lds_bytes,
@@ -1664,24 +1641,10 @@ impl<'a> Machine<'a> {
             let a = a as usize;
             let old =
                 u32::from_le_bytes(self.groups[gidx].lds[a..a + 4].try_into().expect("4 bytes"));
-            let v = self.reg(wid, value, l);
-            let new = match op {
-                AtomicOp::Add => old.wrapping_add(v),
-                AtomicOp::Exchange => v,
-                AtomicOp::CmpXchg { cmp } => {
-                    let c = self.reg(wid, cmp, l);
-                    if old == c {
-                        v
-                    } else {
-                        old
-                    }
-                }
-                AtomicOp::Max => old.max(v),
-                AtomicOp::Min => old.min(v),
-            };
+            let new = atomic_result(op, old, vals[l], cmps[l]);
             self.groups[gidx].lds[a..a + 4].copy_from_slice(&new.to_le_bytes());
             if let Some(d) = dst {
-                self.set_reg(wid, d, l, old);
+                self.waves[wid].regs[d.0 as usize * LANES + l] = old;
             }
         }
 

@@ -85,7 +85,8 @@ impl GlobalMemory {
         let i = self.ranges.partition_point(|&(b, _)| b <= addr);
         if i > 0 {
             let (base, size) = self.ranges[i - 1];
-            if addr + 4 <= base + size {
+            // `addr >= base` here; compare offsets so no sum can wrap.
+            if size >= 4 && addr - base <= size - 4 {
                 return Ok((addr - ARENA_BASE) as usize);
             }
         }
@@ -135,21 +136,19 @@ impl GlobalMemory {
         self.data[off..off + bytes.len()].copy_from_slice(bytes);
     }
 
-    /// Reads a cache line's worth of bytes at a line-aligned address.
-    /// Regions outside the arena read as zero (they can only be padding —
-    /// word-granular accesses are bounds-checked separately).
-    pub fn read_line(&self, line_addr: u32, len: usize) -> Vec<u8> {
-        let mut out = vec![0u8; len];
-        for (i, b) in out.iter_mut().enumerate() {
-            let addr = line_addr as usize + i;
-            if addr >= ARENA_BASE as usize {
-                let off = addr - ARENA_BASE as usize;
-                if off < self.data.len() {
-                    *b = self.data[off];
-                }
-            }
+    /// Copies the cache line at line-aligned `line_addr` into `out` (one
+    /// line long). Bytes outside the arena read as zero (they can only be
+    /// padding — word-granular accesses are bounds-checked separately).
+    pub fn read_line(&self, line_addr: u32, out: &mut [u8]) {
+        out.fill(0);
+        let start = line_addr as usize;
+        let end = start + out.len();
+        let arena = ARENA_BASE as usize..ARENA_BASE as usize + self.data.len();
+        let (lo, hi) = (start.max(arena.start), end.min(arena.end));
+        if lo < hi {
+            out[lo - start..hi - start]
+                .copy_from_slice(&self.data[lo - arena.start..hi - arena.start]);
         }
-        out
     }
 
     /// Flips one bit at an absolute byte address, if it maps to a buffer.
@@ -202,6 +201,27 @@ mod tests {
         // Last valid word is base+4; base+8 is out of the declared size.
         assert!(m.load(base + 4, "k").is_ok());
         assert!(m.load(base + 8, "k").is_err());
+        // `addr + 4` wraps to 0 here; the check must not.
+        assert!(matches!(
+            m.load(0xFFFF_FFFC, "k"),
+            Err(SimError::BadGlobalAccess { .. })
+        ));
+    }
+
+    #[test]
+    fn read_line_zero_fills_outside_the_arena() {
+        let mut m = GlobalMemory::new();
+        let a = m.alloc(8);
+        m.write_buffer(a, &[1, 2, 3, 4, 5, 6, 7, 8]);
+        let base = m.base(a).unwrap();
+        let mut line = [0xAAu8; 16];
+        m.read_line(base, &mut line);
+        assert_eq!(line[..8], [1, 2, 3, 4, 5, 6, 7, 8]);
+        assert!(line[8..].iter().all(|&b| b == 0), "zeroed alloc padding");
+        m.read_line(base - 16, &mut line);
+        assert_eq!(line, [0; 16], "below the arena");
+        m.read_line(base + 256, &mut line);
+        assert_eq!(line, [0; 16], "past the arena");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! LDS, atomics, swizzles, and the non-coherent L1.
 
 use gcn_sim::{Arg, Device, DeviceConfig, LaunchConfig, SimError};
-use rmt_ir::{AtomicOp, KernelBuilder, MemSpace, SwizzleMode};
+use rmt_ir::{AtomicOp, BinOp, Builtin, Dim, Inst, KernelBuilder, MemSpace, SwizzleMode, Ty};
 
 fn device() -> Device {
     Device::new(DeviceConfig::small_test())
@@ -470,6 +470,145 @@ fn oob_lds_access_is_reported() {
     let ob = dev.create_buffer(4);
     let err = dev.launch(&k, &LaunchConfig::new_1d(64, 64).arg(Arg::Buffer(ob)));
     assert!(matches!(err, Err(SimError::BadLdsAccess { .. })));
+}
+
+/// The last word of the 32-bit address space: `addr + 4` wraps to 0, so
+/// a bounds check written as `addr + 4 <= end` would let it through.
+const WRAPPING_ADDR: u32 = 0xFFFF_FFFC;
+
+/// Launches one wave of a kernel over a 64-word `out` buffer.
+fn launch_one_wave(k: &rmt_ir::Kernel) -> Result<gcn_sim::LaunchStats, SimError> {
+    let mut dev = device();
+    let ob = dev.create_buffer(64 * 4);
+    dev.launch(k, &LaunchConfig::new_1d(64, 64).arg(Arg::Buffer(ob)))
+}
+
+#[test]
+fn wrapping_global_load_is_reported() {
+    let mut b = KernelBuilder::new("wrap_load");
+    let out = b.buffer_param("out");
+    let a = b.const_u32(WRAPPING_ADDR);
+    let v = b.load_global(a);
+    b.store_global(out, v);
+    let err = launch_one_wave(&b.finish());
+    assert!(
+        matches!(
+            err,
+            Err(SimError::BadGlobalAccess {
+                addr: WRAPPING_ADDR,
+                ..
+            })
+        ),
+        "{err:?}"
+    );
+}
+
+#[test]
+fn wrapping_global_atomic_is_reported() {
+    let mut b = KernelBuilder::new("wrap_atomic");
+    b.buffer_param("out");
+    let a = b.const_u32(WRAPPING_ADDR);
+    let one = b.const_u32(1);
+    b.atomic_noret(MemSpace::Global, AtomicOp::Add, a, one);
+    let err = launch_one_wave(&b.finish());
+    assert!(
+        matches!(
+            err,
+            Err(SimError::BadGlobalAccess {
+                addr: WRAPPING_ADDR,
+                ..
+            })
+        ),
+        "{err:?}"
+    );
+}
+
+#[test]
+fn wrapping_lds_load_and_store_are_reported() {
+    for store in [false, true] {
+        let mut b = KernelBuilder::new("wrap_lds");
+        b.set_lds_bytes(16);
+        let out = b.buffer_param("out");
+        let a = b.const_u32(WRAPPING_ADDR);
+        if store {
+            b.store_local(a, a);
+        } else {
+            let v = b.load_local(a);
+            b.store_global(out, v);
+        }
+        let err = launch_one_wave(&b.finish());
+        assert_eq!(
+            err.err(),
+            Some(SimError::BadLdsAccess {
+                offset: WRAPPING_ADDR,
+                lds_bytes: 16
+            }),
+            "store = {store}"
+        );
+    }
+}
+
+#[test]
+fn wrapping_lds_atomic_is_reported() {
+    let mut b = KernelBuilder::new("wrap_lds_atomic");
+    b.set_lds_bytes(16);
+    b.buffer_param("out");
+    let a = b.const_u32(WRAPPING_ADDR);
+    let one = b.const_u32(1);
+    b.atomic_noret(MemSpace::Local, AtomicOp::Add, a, one);
+    let err = launch_one_wave(&b.finish());
+    assert_eq!(
+        err.err(),
+        Some(SimError::BadLdsAccess {
+            offset: WRAPPING_ADDR,
+            lds_bytes: 16
+        })
+    );
+}
+
+#[test]
+fn builtin_dimension_past_z_is_an_invalid_kernel() {
+    let mut b = KernelBuilder::new("dim3");
+    let out = b.buffer_param("out");
+    let v = b.builtin(Builtin::GlobalId(Dim(3)));
+    b.store_global(out, v);
+    let err = launch_one_wave(&b.finish());
+    assert!(matches!(err, Err(SimError::InvalidKernel(_))), "{err:?}");
+}
+
+#[test]
+fn divergent_in_place_binary_keeps_inactive_lanes() {
+    // `x = x * 3` with `x` both destination and source, on lanes < 10
+    // only: the other lanes must keep their old `x`.
+    let mut b = KernelBuilder::new("inplace");
+    let out = b.buffer_param("out");
+    let gid = b.global_id(0);
+    let x = b.fresh();
+    b.mov_to(x, gid);
+    let three = b.const_u32(3);
+    let ten = b.const_u32(10);
+    let cond = b.lt_u32(gid, ten);
+    b.if_(cond, |b| {
+        b.emit(Inst::Binary {
+            dst: x,
+            op: BinOp::Mul,
+            ty: Ty::U32,
+            a: x,
+            b: three,
+        });
+    });
+    let oa = b.elem_addr(out, gid);
+    b.store_global(oa, x);
+    let k = b.finish();
+
+    let mut dev = device();
+    let ob = dev.create_buffer(64 * 4);
+    dev.launch(&k, &LaunchConfig::new_1d(64, 64).arg(Arg::Buffer(ob)))
+        .unwrap();
+    for (i, &v) in dev.read_u32s(ob).iter().enumerate() {
+        let i = i as u32;
+        assert_eq!(v, if i < 10 { i * 3 } else { i }, "lane {i}");
+    }
 }
 
 #[test]

@@ -1,7 +1,8 @@
 //! Property-based tests: ALU semantics against native Rust references,
-//! cache-model invariants, and simulator determinism on random programs.
+//! the wavefront lane kernels against the scalar ALU, cache-model
+//! invariants, and simulator determinism on random programs.
 
-use gcn_sim::alu::{eval_bin, eval_cmp, eval_un};
+use gcn_sim::alu::{bin_lanes, cmp_lanes, eval_bin, eval_cmp, eval_un, un_lanes, LaneVals, LANES};
 use gcn_sim::{Arg, Device, DeviceConfig, LaunchConfig};
 use proptest::prelude::*;
 use rmt_ir::{BinOp, CmpOp, KernelBuilder, Ty, UnOp};
@@ -75,6 +76,115 @@ proptest! {
         let sq = eval_bin(BinOp::Mul, Ty::F32, v.to_bits(), v.to_bits());
         let r = f32::from_bits(eval_un(UnOp::Sqrt, sq));
         prop_assert!((r - v).abs() <= v * 1e-5 + 1e-6, "{r} vs {v}");
+    }
+}
+
+const BIN_OPS: [BinOp; 12] = [
+    BinOp::Add,
+    BinOp::Sub,
+    BinOp::Mul,
+    BinOp::Div,
+    BinOp::Rem,
+    BinOp::Min,
+    BinOp::Max,
+    BinOp::And,
+    BinOp::Or,
+    BinOp::Xor,
+    BinOp::Shl,
+    BinOp::Shr,
+];
+const CMP_OPS: [CmpOp; 6] = [
+    CmpOp::Eq,
+    CmpOp::Ne,
+    CmpOp::Lt,
+    CmpOp::Le,
+    CmpOp::Gt,
+    CmpOp::Ge,
+];
+const UN_OPS: [UnOp; 14] = [
+    UnOp::Not,
+    UnOp::Neg,
+    UnOp::Abs,
+    UnOp::Exp,
+    UnOp::Log,
+    UnOp::Sqrt,
+    UnOp::Rsqrt,
+    UnOp::Sin,
+    UnOp::Cos,
+    UnOp::Floor,
+    UnOp::F32ToI32,
+    UnOp::I32ToF32,
+    UnOp::U32ToF32,
+    UnOp::F32ToU32,
+];
+const TYS: [Ty; 3] = [Ty::U32, Ty::I32, Ty::F32];
+
+/// Bit patterns at the edges of the operators: signed zeros, infinities,
+/// quiet and signalling NaNs with payloads, `i32::MIN` and `-1` (whose
+/// quotient overflows), zero divisors and shift amounts of 32 and more.
+const EDGES: [u32; 16] = [
+    0,
+    1,
+    0x8000_0000, // -0.0, i32::MIN
+    0xFFFF_FFFF, // -1, a negative NaN with a full payload
+    0x7F80_0000, // +inf
+    0xFF80_0000, // -inf
+    0x7FC0_0000, // quiet NaN
+    0x7FC0_1234, // quiet NaN with a payload
+    0x7F80_0001, // signalling NaN
+    0x3F80_0000, // 1.0
+    0xBF80_0000, // -1.0
+    31,
+    32,
+    33,
+    64,
+    0x7FFF_FFFF, // i32::MAX
+];
+
+/// A wavefront of lane values, each either random or an edge value.
+fn lane_vals() -> impl Strategy<Value = LaneVals> {
+    let lane = prop_oneof![any::<u32>(), prop::sample::select(EDGES.to_vec())];
+    prop::collection::vec(lane, LANES..LANES + 1).prop_map(|v| v.try_into().expect("64 lanes"))
+}
+
+/// Asserts that every lane kernel equals its scalar `eval_*` applied lane
+/// by lane, bit for bit, for every operator and type.
+fn check_lane_kernels(a: &LaneVals, b: &LaneVals) {
+    for ty in TYS {
+        for op in BIN_OPS {
+            let want: LaneVals = std::array::from_fn(|l| eval_bin(op, ty, a[l], b[l]));
+            prop_assert_eq!(bin_lanes(op, ty, a, b), want, "{:?} {:?}", op, ty);
+        }
+        for op in CMP_OPS {
+            let want: LaneVals = std::array::from_fn(|l| eval_cmp(op, ty, a[l], b[l]));
+            prop_assert_eq!(cmp_lanes(op, ty, a, b), want, "{:?} {:?}", op, ty);
+        }
+    }
+    for op in UN_OPS {
+        let want: LaneVals = std::array::from_fn(|l| eval_un(op, a[l]));
+        prop_assert_eq!(un_lanes(op, a), want, "{:?}", op);
+    }
+}
+
+#[test]
+fn lane_kernels_match_scalar_alu_on_every_edge_pair() {
+    let pairs: Vec<(u32, u32)> = EDGES
+        .iter()
+        .flat_map(|&x| EDGES.iter().map(move |&y| (x, y)))
+        .collect();
+    for chunk in pairs.chunks(LANES) {
+        let a = std::array::from_fn(|l| chunk.get(l).map_or(0, |p| p.0));
+        let b = std::array::from_fn(|l| chunk.get(l).map_or(0, |p| p.1));
+        check_lane_kernels(&a, &b);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    #[test]
+    fn lane_kernels_match_scalar_alu(a in lane_vals(), b in lane_vals()) {
+        check_lane_kernels(&a, &b);
     }
 }
 
